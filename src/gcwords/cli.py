@@ -64,7 +64,10 @@ def _cmd_words(args) -> int:
     if args.target[0] == "w0":
         if len(args.target) != 2:
             raise DomainError("usage: words w0 <n>")
-        n = int(args.target[1])
+        try:
+            n = int(args.target[1])
+        except ValueError:
+            raise DomainError(f"rank must be an integer, not {args.target[1]!r}") from None
         if n < 1:
             raise DomainError("rank must be positive")
         perm = words.longest_element(n + 1)

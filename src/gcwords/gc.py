@@ -17,7 +17,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator
 
-from .indices import contract_A, contract_D, extend_A, extend_D, ind_A, ind_D, validate_delta
+from .indices import _contract, _index_of_chain, _stage, extend_A, extend_D, validate_delta
 from .word_poset import (
     WordPoset,
     canonical_form,
@@ -33,7 +33,11 @@ class BudgetExceeded(DomainError):
 
 def default_budget() -> int:
     """Largest rank brute-force routes accept by default (env GCWORDS_BUDGET)."""
-    return int(os.environ.get("GCWORDS_BUDGET", "5"))
+    text = os.environ.get("GCWORDS_BUDGET", "5")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"GCWORDS_BUDGET must be an integer, not {text!r}") from None
 
 
 def classify_gc(P: WordPoset) -> str | None:
@@ -51,16 +55,16 @@ def classify_gc(P: WordPoset) -> str | None:
     letters = []
     Q = P
     for rank in range(P.rank, 1, -1):
-        a, d = ind_A(Q), ind_D(Q)
-        assert not (a == 0 and d == 0), "both indices vanish above rank 1"
-        if a == 0:
-            letters.append("A")
-            Q = contract_A(Q) if rank > 2 else Q
-        elif d == 0:
-            letters.append("D")
-            Q = contract_D(Q) if rank > 2 else Q
-        else:
+        extension, chains = _stage(Q)
+        a, d = (_index_of_chain(Q, chains[kind]) for kind in "AD")
+        if a == 0 and d == 0:
+            raise RuntimeError("internal error: both indices vanish above rank 1")
+        if a and d:
             return None
+        kind = "A" if a == 0 else "D"
+        letters.append(kind)
+        if rank > 2:
+            Q = _contract(Q, extension, chains[kind], kind)[0]
     return "".join(reversed(letters))
 
 
@@ -119,7 +123,8 @@ def thrall_g(mu) -> int:
         mu[i] + mu[j] for i in range(t) for j in range(i + 1, t)
     )
     count, remainder = divmod(numerator, denominator)
-    assert remainder == 0, f"product formula not integral at {mu}"
+    if remainder:
+        raise RuntimeError(f"internal error: product formula not integral at {mu}")
     return count
 
 

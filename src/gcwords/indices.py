@@ -2,14 +2,17 @@
 
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
-1..n (the ascending chain); they share exactly one element.  The chains are
-located twice, by direct column search and via the wiring diagram of a word
-of the class; a mismatch means an internal bug and raises immediately.
+1..n (the ascending chain); they share exactly one element.  Both chains are
+located together, once per poset, by two routes: direct column search and
+the wiring diagram of the lexmin word of the class; a mismatch means an
+internal bug and raises immediately.
 
 Removing a chain and shifting one side's columns gives a word poset one rank
 lower (contraction).  Extensions re-insert a chain over a chosen ideal and
 invert contractions up to isomorphism.  Iterating contractions along a
-letter sequence delta over {A, D} yields the delta-index vector.
+letter sequence delta over {A, D} yields the delta-index vector; the walks
+over several stages hand each stage's chains and lexmin extension on to its
+indices and contractions, so no stage poset is searched twice.
 """
 
 from __future__ import annotations
@@ -47,17 +50,17 @@ def _w0_rank(P: WordPoset) -> int:
     return n
 
 
-def _find_chains(P: WordPoset, wanted_columns: list[int], limit: int) -> list[tuple[int, ...]]:
+def _unique_chain(P: WordPoset, which: str, wanted: range) -> tuple[int, ...]:
     found: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def rec(idx: int):
-        if len(found) >= limit:
+        if len(found) >= 2:
             return
-        if idx == len(wanted_columns):
+        if idx == len(wanted):
             found.append(tuple(prefix))
             return
-        for cand in P.column_chains[wanted_columns[idx]]:
+        for cand in P.column_chains[wanted[idx]]:
             if prefix and not P.less(prefix[-1], cand):
                 continue
             prefix.append(cand)
@@ -65,34 +68,35 @@ def _find_chains(P: WordPoset, wanted_columns: list[int], limit: int) -> list[tu
             prefix.pop()
 
     rec(0)
-    return found
-
-
-def _wire_chains(P: WordPoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # independent derivation: read the chains off a wiring diagram of a word
-    # of the class, mapping crossing rows back through the linear extension
-    extension = lexmin_extension(P)
-    a_rows, d_rows = chains_from_wires(word_of_extension(P, extension))
-    ascending = tuple(extension[r - 1] for r in a_rows)
-    descending = tuple(extension[r - 1] for r in d_rows)
-    return ascending, descending
-
-
-def _chain(P: WordPoset, which: str) -> tuple[int, ...]:
-    n = _w0_rank(P)
-    wanted = list(range(1, n + 1)) if which == "A" else list(range(n, 0, -1))
-    chains = _find_chains(P, wanted, limit=2)
-    if not chains:
+    if not found:
         raise DomainError(f"no {which}-chain: poset not a longest-element word poset")
-    if len(chains) > 1:
-        raise DomainError(f"{which}-chain not unique: {chains[0]} and {chains[1]}")
-    wire = _wire_chains(P)[0 if which == "A" else 1]
-    if chains[0] != wire:
-        raise RuntimeError(
-            f"internal error: {which}-chain search gave {chains[0]} "
-            f"but the wiring diagram gave {wire}"
-        )
-    return chains[0]
+    if len(found) > 1:
+        raise DomainError(f"{which}-chain not unique: {found[0]} and {found[1]}")
+    return found[0]
+
+
+def _stage(P: WordPoset) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+    """What one contraction stage needs of P: its lexmin extension and its
+    chains {"A": ascending, "D": descending}, each found by the unique-chain
+    search and cross-checked against the wiring diagram of the extension's
+    word."""
+    n = _w0_rank(P)
+    chains = {
+        "A": _unique_chain(P, "A", range(1, n + 1)),
+        "D": _unique_chain(P, "D", range(n, 0, -1)),
+    }
+    # independent derivation: the crossing rows of wires 1 and n+1 are
+    # positions in the extension, which maps them back to elements
+    extension = lexmin_extension(P)
+    wire_rows = dict(zip("AD", chains_from_wires(word_of_extension(P, extension))))
+    for which, chain in chains.items():
+        wire = tuple(extension[r - 1] for r in wire_rows[which])
+        if chain != wire:
+            raise RuntimeError(
+                f"internal error: {which}-chain search gave {chain} "
+                f"but the wiring diagram gave {wire}"
+            )
+    return extension, chains
 
 
 def descending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -103,7 +107,7 @@ def descending_chain(P: WordPoset) -> tuple[int, ...]:
     >>> descending_chain(poset_of_word(standard_word(3)))
     (4, 5, 6)
     """
-    return _chain(P, "D")
+    return _stage(P)[1]["D"]
 
 
 def ascending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -114,7 +118,7 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
     >>> ascending_chain(poset_of_word(standard_word(3)))
     (1, 2, 4)
     """
-    return _chain(P, "A")
+    return _stage(P)[1]["A"]
 
 
 def _index_of_chain(P: WordPoset, chain: tuple[int, ...]) -> int:
@@ -140,7 +144,8 @@ def _ideal_below_chain(P: WordPoset, chain: tuple[int, ...]) -> frozenset:
         col_chain = P.column_chains[P.columns[c - 1]]
         members.update(col_chain[: col_chain.index(c)])
     ideal = frozenset(members)
-    assert is_ideal(P, ideal), "contraction ideal must be downward closed"
+    if not is_ideal(P, ideal):
+        raise RuntimeError(f"internal error: the ideal below {chain} is not downward closed")
     return ideal
 
 
@@ -155,22 +160,22 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 
 def _contract(
-    P: WordPoset, chain: tuple[int, ...], ideal: frozenset, shift_ideal: bool
+    P: WordPoset, extension: tuple[int, ...], chain: tuple[int, ...], kind: str
 ) -> tuple[WordPoset, dict[int, int]]:
     # Work on a word of the class: drop the chain's rows and shift the
     # letters on one side.  Restricting the order of P itself would be wrong:
     # two kept elements may be related only through the removed chain, and
     # such relations do not survive (the wires are spliced past the removed
     # crossings).
-    extension = lexmin_extension(P)
-    letters = [P.columns[k - 1] for k in extension]
+    ideal = _ideal_below_chain(P, chain)
+    shift_ideal = kind == "A"
     removed = set(chain)
     relabel: dict[int, int] = {}
     new_letters = []
-    for row, elem in enumerate(extension, start=1):
+    for elem in extension:
         if elem in removed:
             continue
-        letter = letters[row - 1]
+        letter = P.columns[elem - 1]
         shifted = letter - 1 if (elem in ideal) == shift_ideal else letter
         new_letters.append(shifted)
         relabel[elem] = len(new_letters)
@@ -185,16 +190,14 @@ def _contract(
 
 def contract_D_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
     """D-contraction plus the old-to-new element relabeling."""
-    return _contract(
-        P, descending_chain(P), contraction_ideal_D(P), shift_ideal=False
-    )
+    extension, chains = _stage(P)
+    return _contract(P, extension, chains["D"], "D")
 
 
 def contract_A_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
     """A-contraction plus the old-to-new element relabeling."""
-    return _contract(
-        P, ascending_chain(P), contraction_ideal_A(P), shift_ideal=True
-    )
+    extension, chains = _stage(P)
+    return _contract(P, extension, chains["A"], "A")
 
 
 def contract_D(P: WordPoset) -> WordPoset:
@@ -286,14 +289,11 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     out = [0] * (n - 1)
     Q = P
     for k in range(n - 1, 0, -1):
-        if delta[k - 1] == "A":
-            out[k - 1] = ind_A(Q)
-            if k > 1:
-                Q = contract_A(Q)
-        else:
-            out[k - 1] = ind_D(Q)
-            if k > 1:
-                Q = contract_D(Q)
+        kind = delta[k - 1]
+        extension, chains = _stage(Q)
+        out[k - 1] = _index_of_chain(Q, chains[kind])
+        if k > 1:
+            Q = _contract(Q, extension, chains[kind], kind)[0]
     return tuple(out)
 
 
@@ -303,20 +303,21 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     n = _w0_rank(P)
     if n == 1:
         return {"": ()}
-    stage: dict[str, tuple[int, int]] = {}
+    pairs: dict[str, tuple[int, int]] = {}
 
     def descend(Q: WordPoset, suffix: str):
-        stage[suffix] = (ind_A(Q), ind_D(Q))
+        extension, chains = _stage(Q)
+        pairs[suffix] = tuple(_index_of_chain(Q, chains[kind]) for kind in "AD")
         if len(suffix) < n - 2:
-            descend(contract_A(Q), "A" + suffix)
-            descend(contract_D(Q), "D" + suffix)
+            for kind in "AD":
+                descend(_contract(Q, extension, chains[kind], kind)[0], kind + suffix)
 
     descend(P, "")
     profile = {}
     for letters in product("AD", repeat=n - 1):
         delta = "".join(letters)
         profile[delta] = tuple(
-            stage[delta[k:]][0 if delta[k - 1] == "A" else 1]
+            pairs[delta[k:]][0 if delta[k - 1] == "A" else 1]
             for k in range(1, n)
         )
     return profile

@@ -114,7 +114,8 @@ def _two_move_components(words: list[Word]) -> dict[Word, int]:
                     component[v] = next_id
                     queue.append(v)
         next_id += 1
-    assert len(component) == len(index)
+    if len(component) != len(index):
+        raise RuntimeError("internal error: 2-moves left the set of reduced words")
     return component
 
 

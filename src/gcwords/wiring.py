@@ -79,9 +79,9 @@ def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     diagram = wiring_of_word(w)
     a_rows = diagram.wires[0]
     d_rows = diagram.wires[n]
-    letters = w.letters
-    assert tuple(letters[r - 1] for r in a_rows) == tuple(range(1, n + 1))
-    assert tuple(letters[r - 1] for r in d_rows) == tuple(range(n, 0, -1))
+    spelled = tuple(w.letters[r - 1] for r in a_rows + d_rows)
+    if spelled != tuple(range(1, n + 1)) + tuple(range(n, 0, -1)):
+        raise RuntimeError(f"internal error: wires 1 and {n + 1} of {w} misread as {spelled}")
     return a_rows, d_rows
 
 

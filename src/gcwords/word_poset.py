@@ -157,12 +157,12 @@ def _bits(mask: int) -> tuple[int, ...]:
 def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
     """Covers of the order given by strict-downset bitmasks."""
     covers = []
-    for y in range(1, len(below) + 1):
-        mask = below[y - 1]
-        for x in _bits(mask):
-            # x is covered by y unless something in between lies below y
-            if not any(below[m - 1] >> (x - 1) & 1 for m in _bits(mask)):
-                covers.append((x, y))
+    for y, mask in enumerate(below, start=1):
+        # x is covered by y unless it lies below something else below y
+        inner = 0
+        for m in _bits(mask):
+            inner |= below[m - 1]
+        covers.extend((x, y) for x in _bits(mask & ~inner))
     return covers
 
 
@@ -256,70 +256,51 @@ def linear_extensions(P: WordPoset) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
-def _column_layout(P: WordPoset):
-    """Chains listed by ascending column plus, per element, the (chain index,
-    height) requirements imposed by its lower covers."""
-    cols = sorted(P.column_chains)
-    col_index = {col: i for i, col in enumerate(cols)}
-    chains = [P.column_chains[col] for col in cols]
-    requires: dict[int, tuple[tuple[int, int], ...]] = {}
-    for k in range(1, P.size + 1):
-        requires[k] = tuple(
-            (col_index[P.columns[x - 1]], P.column_rank(x)) for x in P._lower_covers[k - 1]
-        )
-    return chains, requires
-
-
-def count_linear_extensions(P: WordPoset) -> int:
-    """Exact number of linear extensions.
-
-    Dynamic program over ideals keyed by per-column counts; the key is
-    lossless because an ideal meets each column chain in a prefix.
-
-    >>> count_linear_extensions(poset_of_word(standard_word(3)))
-    2
-    """
-    if P.size == 0:
-        return 1
-    chains, requires = _column_layout(P)
+def _ideal_levels(P: WordPoset) -> Iterator[dict[tuple[int, ...], int]]:
+    """The lattice of order ideals, one level per ideal size, smallest
+    first.  A level maps each ideal, keyed by its per-column counts in
+    ascending column order, to the number of ways to build it one element at
+    a time (its linear extensions).  The key is lossless because an ideal
+    meets each column chain in a prefix."""
+    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
+    # an element is addable once each lower cover x is in, i.e. once the
+    # count of x's chain reaches x's height there
+    place = {k: (ci, h) for ci, chain in enumerate(chains) for h, k in enumerate(chain, 1)}
+    needs = [[[place[x] for x in P._lower_covers[k - 1]] for k in chain] for chain in chains]
     ncols = len(chains)
     level: dict[tuple[int, ...], int] = {(0,) * ncols: 1}
-    for _ in range(P.size):
+    while level:
+        yield level
         nxt: dict[tuple[int, ...], int] = {}
         for counts, ways in level.items():
             for ci in range(ncols):
                 taken = counts[ci]
                 if taken == len(chains[ci]):
                     continue
-                elem = chains[ci][taken]
-                if all(counts[rj] >= rh for rj, rh in requires[elem]):
+                if all(counts[rj] >= rh for rj, rh in needs[ci][taken]):
                     key = counts[:ci] + (taken + 1,) + counts[ci + 1 :]
                     nxt[key] = nxt.get(key, 0) + ways
         level = nxt
+
+
+def count_linear_extensions(P: WordPoset) -> int:
+    """Exact number of linear extensions: the ways to reach the full ideal.
+
+    >>> count_linear_extensions(poset_of_word(standard_word(3)))
+    2
+    """
+    for level in _ideal_levels(P):
+        pass  # the last level holds the full ideal alone
     (total,) = level.values()
     return total
 
 
 def ideals(P: WordPoset) -> Iterator[frozenset]:
     """All order ideals, smallest first, deterministically ordered."""
-    chains, requires = _column_layout(P)
-    ncols = len(chains)
-    level = {(0,) * ncols}
-    while level:
+    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
+    for level in _ideal_levels(P):
         for counts in sorted(level):
-            yield frozenset(
-                k for ci in range(ncols) for k in chains[ci][: counts[ci]]
-            )
-        nxt = set()
-        for counts in level:
-            for ci in range(ncols):
-                taken = counts[ci]
-                if taken == len(chains[ci]):
-                    continue
-                elem = chains[ci][taken]
-                if all(counts[rj] >= rh for rj, rh in requires[elem]):
-                    nxt.add(counts[:ci] + (taken + 1,) + counts[ci + 1 :])
-        level = nxt
+            yield frozenset(k for chain, c in zip(chains, counts) for k in chain[:c])
 
 
 def ideal_from_counts(P: WordPoset, counts: Sequence[int]) -> frozenset:

@@ -103,10 +103,6 @@ def parse_perm(text: str) -> Perm:
     return p
 
 
-def format_perm(p: Perm) -> str:
-    return "[" + ",".join(str(v) for v in p) + "]"
-
-
 def perm_of_word(w: Word) -> Perm:
     """Evaluate the product s_{i_1} ... s_{i_l} on {1..rank+1}.
 

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import gcwords
 from gcwords import verify
 from gcwords.cli import main
 from gcwords.verify import Report
@@ -158,3 +165,27 @@ def test_output_deterministic(capsys):
     first = run(capsys, "profile", "1,3,2,1,3,2")
     second = run(capsys, "profile", "1,3,2,1,3,2")
     assert first == second
+
+
+def _run_cli(*argv, env_extra=None):
+    src = str(Path(gcwords.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "gcwords.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, env_extra",
+    [
+        (("words", "w0", "x"), None),
+        (("classes", "3"), {"GCWORDS_BUDGET": "abc"}),
+    ],
+)
+def test_bad_integers_exit_1_without_traceback(argv, env_extra):
+    result = _run_cli(*argv, env_extra=env_extra)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

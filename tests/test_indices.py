@@ -1,5 +1,12 @@
-import pytest
+import random
+from collections import Counter
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gcwords import indices, wiring, word_poset
+from gcwords.gc import classify_gc
 from gcwords.indices import (
     ascending_chain,
     column_flip,
@@ -24,7 +31,7 @@ from gcwords.word_poset import (
     is_isomorphic,
     poset_of_word,
 )
-from gcwords.words import DomainError, parse_word
+from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
 P_OTHER = poset_of_word(parse_word("1,3,2,1,3,2"))
@@ -55,17 +62,38 @@ def test_chains_reject_foreign_posets():
         descending_chain(WordPoset((1, 2), ((1, 2),)))
 
 
+def random_w0_word(n, rng):
+    """A reduced word of the longest element of S_{n+1}, peeling a randomly
+    chosen left descent off the remaining permutation at each step."""
+    p = list(longest_element(n + 1))
+    letters = []
+    while True:
+        where = {value: index for index, value in enumerate(p)}
+        descents = [i for i in range(1, n + 1) if where[i] > where[i + 1]]
+        if not descents:
+            return Word(n, tuple(letters))
+        i = rng.choice(descents)
+        letters.append(i)
+        p[where[i]], p[where[i + 1]] = i + 1, i
+
+
+def sampled_words(n, count, seed):
+    rng = random.Random(seed)
+    return [random_w0_word(n, rng) for _ in range(count)]
+
+
 def test_chains_agree_with_wiring_rows(words_of_rank):
     # elements of the word poset are word positions, so the chains are
     # literally the crossing rows of wires 1 and n+1
     from gcwords.wiring import chains_from_wires
 
-    for n in (2, 3, 4):
-        for w in words_of_rank(n):
-            P = poset_of_word(w)
-            a_rows, d_rows = chains_from_wires(w)
-            assert ascending_chain(P) == a_rows
-            assert descending_chain(P) == d_rows
+    samples = [w for n in (2, 3, 4) for w in words_of_rank(n)]
+    samples += sampled_words(5, 300, seed=5) + sampled_words(6, 150, seed=6)
+    for w in samples:
+        P = poset_of_word(w)
+        a_rows, d_rows = chains_from_wires(w)
+        assert ascending_chain(P) == a_rows
+        assert descending_chain(P) == d_rows
 
 
 def test_ind_golden():
@@ -186,8 +214,6 @@ def test_full_profile_shapes():
 
 
 def test_full_profile_matches_delta_index(classes_of_rank):
-    from itertools import product
-
     for P in classes_of_rank(3):
         prof = full_profile(P)
         for bits in product("AD", repeat=2):
@@ -196,8 +222,6 @@ def test_full_profile_matches_delta_index(classes_of_rank):
 
 
 def test_collision_pair():
-    from itertools import product
-
     Pi = poset_of_word(parse_word("3,2,1,2,3,4,3,2,3,1"))
     Pj = poset_of_word(parse_word("1,3,2,1,4,3,4,2,3,1"))
     for d1, d2 in product("AD", repeat=2):
@@ -233,3 +257,70 @@ def test_at_most_one_zero_index(classes_of_rank):
     for n in (2, 3, 4):
         for P in classes_of_rank(n):
             assert not (ind_A(P) == 0 and ind_D(P) == 0)
+
+
+def stagewise_delta_index(P, delta):
+    # compose the public single-stage calls, last letter of delta first
+    out = []
+    for k in range(len(delta), 0, -1):
+        kind = delta[k - 1]
+        out.append(ind_A(P) if kind == "A" else ind_D(P))
+        if k > 1:
+            P = contract_A(P) if kind == "A" else contract_D(P)
+    return tuple(reversed(out))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(min_value=2, max_value=6), seed=st.integers(min_value=0, max_value=2**32))
+def test_full_profile_and_classify_match_single_stage_calls(n, seed):
+    P = poset_of_word(random_w0_word(n, random.Random(seed)))
+    profile = full_profile(P)
+    deltas = ["".join(letters) for letters in product("AD", repeat=n - 1)]
+    assert sorted(profile) == deltas
+    for delta in deltas:
+        assert profile[delta] == stagewise_delta_index(P, delta)
+    zero = [delta for delta in deltas if not any(profile[delta])]
+    assert len(zero) <= 1
+    assert classify_gc(P) == (zero[0] if zero else None)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts calls of the wiring cross-check and of the lexmin extension,
+    under every name they are reached by."""
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name, module, real in (
+        ("chains_from_wires", wiring, wiring.chains_from_wires),
+        ("lexmin_extension", word_poset, word_poset.lexmin_extension),
+    ):
+        wrapper = counting(name, real)
+        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(indices, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_full_profile_stages_each_poset_once(stage_calls, seed):
+    n = 5
+    P = poset_of_word(random_w0_word(n, random.Random(seed)))
+    full_profile(P)
+    stages = 2 ** (n - 1) - 1
+    assert stage_calls == {"chains_from_wires": stages, "lexmin_extension": stages}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_classify_gc_stages_each_poset_once(stage_calls, seed):
+    n = 5
+    w = standard_word(n) if seed is None else random_w0_word(n, random.Random(seed))
+    delta = classify_gc(poset_of_word(w))
+    assert stage_calls["chains_from_wires"] == stage_calls["lexmin_extension"] <= n - 1
+    if delta is not None:
+        assert stage_calls["chains_from_wires"] == n - 1

@@ -258,3 +258,40 @@ def test_canonical_form_idempotent_on_random_classes(n, choices):
     w = random_braid_walk(standard_word(n), choices)
     P = canonical_form(poset_of_word(w))
     assert canonical_form(P) == P
+
+
+@st.composite
+def random_dags(draw):
+    # a random order on 1..size: edges go up a random permutation of labels
+    size = draw(st.integers(min_value=0, max_value=12))
+    order = draw(st.permutations(range(1, size + 1)))
+    edges = [
+        (order[i], order[j])
+        for i, j in combinations(range(size), 2)
+        if draw(st.booleans())
+    ]
+    return size, edges
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_dags())
+def test_covers_from_below_is_the_transitive_reduction(dag):
+    from gcwords.word_poset import _covers_from_below
+
+    size, edges = dag
+    less = set(edges)
+    while True:
+        longer = {(x, z) for x, y in less for w, z in less if y == w}
+        if longer <= less:
+            break
+        less |= longer
+    below = [0] * size
+    for x, y in less:
+        below[y - 1] |= 1 << (x - 1)
+    brute = {
+        (x, y)
+        for x, y in less
+        if not any((x, z) in less and (z, y) in less for z in range(1, size + 1))
+    }
+    covers = _covers_from_below(below)
+    assert len(covers) == len(brute) and set(covers) == brute
