@@ -83,9 +83,6 @@ def gc_poset_of_delta(delta: str) -> WordPoset:
     return canonical_form(P)
 
 
-StrictPartition = tuple
-
-
 def validate_strict(mu) -> tuple[int, ...]:
     mu = tuple(mu)
     if not mu or any(part < 1 for part in mu):

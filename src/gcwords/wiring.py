@@ -27,10 +27,6 @@ class WiringDiagram:
             if not 1 <= col <= self.n:
                 raise DomainError(f"crossing column {col} in row {row} out of range")
 
-    @property
-    def length(self) -> int:
-        return len(self.rows)
-
     @cached_property
     def wires(self) -> tuple[tuple[int, ...], ...]:
         """wires[j-1] lists the rows where wire j crosses, top to bottom."""

@@ -54,9 +54,6 @@ class WordPoset:
     def rank(self) -> int:
         return max(self.columns, default=0)
 
-    def column(self, k: int) -> int:
-        return self.columns[k - 1]
-
     @cached_property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
         ups: list[list[int]] = [[] for _ in range(self.size)]

@@ -228,7 +228,11 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
     """Every reduced word of p exactly once, in lexicographic order.
 
     Peels the first letter: the word may start with i exactly when s_i * p is
-    shorter, and the tail is any reduced word of s_i * p.
+    shorter, and the tail is any reduced word of s_i * p.  One depth-first
+    loop does the peeling in place: pos[v] is the place of value v, so i is
+    a left descent when pos[i] > pos[i + 1], and peeling s_i swaps the two
+    entries (swapped back on backtracking).  pending[d] holds the descents
+    not yet tried at depth d, largest first, so pop() takes them in order.
 
     >>> [str(w) for w in enumerate_reduced_words((3, 2, 1))]
     ['1,2,1', '2,1,2']
@@ -236,18 +240,36 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
     if not is_permutation(p):
         raise DomainError(f"{p} is not a permutation")
     rank = max(len(p) - 1, 0)
-
-    def rec(q: Perm) -> Iterator[tuple[int, ...]]:
-        descents = list(_left_descents(q))
-        if not descents:
-            yield ()
+    length = inversion_count(p)
+    if length == 0:
+        yield Word(rank, ())
+        return
+    pos = [0] * (len(p) + 1)
+    for place, value in enumerate(p):
+        pos[value] = place
+    letters_down = range(len(p) - 1, 0, -1)
+    letters = [0] * length
+    last = length - 1
+    pending = [[i for i in letters_down if pos[i] > pos[i + 1]]]
+    depth = 0
+    while True:
+        todo = pending[depth]
+        if todo:
+            i = todo.pop()
+            letters[depth] = i
+            if depth == last:
+                yield Word(rank, tuple(letters))
+            else:
+                pos[i], pos[i + 1] = pos[i + 1], pos[i]
+                depth += 1
+                pending.append([j for j in letters_down if pos[j] > pos[j + 1]])
+        elif depth:
+            pending.pop()
+            depth -= 1
+            i = letters[depth]
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+        else:
             return
-        for i in descents:
-            for tail in rec(_swap_values(q, i)):
-                yield (i,) + tail
-
-    for letters in rec(p):
-        yield Word(rank, letters)
 
 
 @lru_cache(maxsize=None)

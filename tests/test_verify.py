@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcwords.verify import (
     ALL_CHECKS,
@@ -13,9 +15,18 @@ from gcwords.verify import (
     check_table1,
     check_tits_connectivity,
     count_gc_words_brute,
+    projection_key,
     run_checks,
 )
-from gcwords.words import DomainError
+from gcwords.word_poset import canonical_form, poset_of_word
+from gcwords.words import (
+    DomainError,
+    apply_2move,
+    apply_3move,
+    legal_2moves,
+    legal_3moves,
+    standard_word,
+)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -50,6 +61,41 @@ def test_table1_rejects_unknown_rank():
 
 def test_brute_counts():
     assert [count_gc_words_brute(n) for n in (1, 2, 3, 4)] == [1, 2, 6, 40]
+
+
+def check_same_partition(words):
+    """projection_key and the canonical word poset split the words into the
+    same blocks; returns the number of blocks."""
+    form_of_key, key_of_form = {}, {}
+    for w in words:
+        key, form = projection_key(w), canonical_form(poset_of_word(w))
+        assert form_of_key.setdefault(key, form) == form, str(w)
+        assert key_of_form.setdefault(form, key) == key, str(w)
+    return len(form_of_key)
+
+
+def test_projection_key_partition_rank_4(words_of_rank):
+    assert check_same_partition(words_of_rank(4)) == CLASS_COUNTS[4]
+
+
+def braid_walk(w, rng, steps):
+    for _ in range(steps):
+        moves = [(apply_2move, p) for p in legal_2moves(w)]
+        moves += [(apply_3move, p) for p in legal_3moves(w)]
+        move, pos = rng.choice(moves)
+        w = move(w, pos)
+    return w
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.sampled_from([5, 6]), seed=st.integers(min_value=0, max_value=2**32))
+def test_projection_key_partition_sampled(n, seed):
+    # short braid walks from one word: most stay in its class (2-moves
+    # only), the rest cross into neighbouring classes
+    rng = random.Random(seed)
+    base = braid_walk(standard_word(n), rng, 60)
+    sample = [base] + [braid_walk(base, rng, rng.randint(1, 6)) for _ in range(16)]
+    check_same_partition(sample)
 
 
 def test_reference_constants():

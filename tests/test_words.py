@@ -1,3 +1,5 @@
+from itertools import islice, permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,9 +87,46 @@ def test_enumerate_reduced_words_lex():
 
 
 def test_enumerate_reduced_words_counts():
-    assert sum(1 for _ in enumerate_reduced_words(longest_element(4))) == 16
+    # Stanley's counts |R(w0)| for ranks 1..5
+    for n, count in zip(range(1, 6), (1, 2, 16, 768, 292864)):
+        w0 = longest_element(n + 1)
+        assert sum(1 for _ in enumerate_reduced_words(w0)) == count
+        assert count_reduced_words(w0) == count
     assert sum(1 for _ in enumerate_reduced_words(identity(4))) == 1
-    assert count_reduced_words(longest_element(5)) == 768
+
+
+@pytest.mark.parametrize("p", [(), (1,)])
+def test_enumerate_trivial_permutations(p):
+    assert list(enumerate_reduced_words(p)) == [Word(0, ())]
+
+
+def check_word_stream(p, ws):
+    """Each word is a reduced word of p with rank len(p)-1, strictly after
+    the one before it in lexicographic order; returns how many there were."""
+    length, rank = inversion_count(p), max(len(p) - 1, 0)
+    target = p or (1,)  # a rank-0 word evaluates in S_1
+    previous = None
+    count = 0
+    for w in ws:
+        assert w.rank == rank
+        assert len(w) == length and perm_of_word(w) == target
+        assert previous is None or previous < w.letters
+        previous = w.letters
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_enumeration_is_every_reduced_word_in_order(m):
+    for p in permutations(range(1, m + 1)):
+        assert check_word_stream(p, enumerate_reduced_words(p)) == count_reduced_words(p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.permutations(range(1, 8)))
+def test_enumeration_prefix_in_s7(p):
+    p = tuple(p)
+    check_word_stream(p, islice(enumerate_reduced_words(p), 500))
 
 
 def test_enumeration_is_sorted_and_reduced(words_of_rank):
