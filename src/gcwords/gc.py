@@ -17,11 +17,12 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator
 
-from .indices import _contract, _index_of_chain, _stage, extend_A, extend_D, validate_delta
+from .indices import _contract, _index_of_chain, _splice, _stage, validate_delta
 from .word_poset import (
     WordPoset,
     canonical_form,
     count_linear_extensions,
+    poset_of_word,
     words_of_class,
 )
 from .words import DomainError, Word
@@ -70,17 +71,21 @@ def classify_gc(P: WordPoset) -> str | None:
 
 def gc_poset_of_delta(delta: str) -> WordPoset:
     """The canonical GC-type word poset classified by delta: start from the
-    single element and extend over the full ideal, one letter at a time.
+    one-letter word and splice in a chain over the whole word, one letter of
+    delta at a time (an extension over the full ideal).  An all-D delta
+    gives the standard word.
 
     >>> classify_gc(gc_poset_of_delta("AD"))
     'AD'
+    >>> from .word_poset import lexmin_word
+    >>> str(lexmin_word(gc_poset_of_delta("DD")))
+    '1,2,1,3,2,1'
     """
     validate_delta(delta)
-    P = WordPoset((1,), ())
-    for letter in delta:
-        full = frozenset(range(1, P.size + 1))
-        P = extend_A(P, full) if letter == "A" else extend_D(P, full)
-    return canonical_form(P)
+    letters: tuple[int, ...] = (1,)
+    for rank, kind in enumerate(delta, 1):
+        letters = _splice(letters, (), rank, kind)
+    return canonical_form(poset_of_word(Word(len(delta) + 1, letters)))
 
 
 def validate_strict(mu) -> tuple[int, ...]:
@@ -254,6 +259,8 @@ def gc_table(n_max: int, class_budget: int | None = None) -> list[dict]:
     """
     from .word_poset import enumerate_commutation_classes
 
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     if class_budget is None:
         class_budget = default_budget()
     rows = []

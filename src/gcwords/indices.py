@@ -7,12 +7,16 @@ located together, once per poset, by two routes: direct column search and
 the wiring diagram of the lexmin word of the class; a mismatch means an
 internal bug and raises immediately.
 
-Removing a chain and shifting one side's columns gives a word poset one rank
-lower (contraction).  Extensions re-insert a chain over a chosen ideal and
-invert contractions up to isomorphism.  Iterating contractions along a
-letter sequence delta over {A, D} yields the delta-index vector; the walks
-over several stages hand each stage's chains and lexmin extension on to its
-indices and contractions, so no stage poset is searched twice.
+Both chain operations are word edits.  A contraction drops a chain's
+letters from a word of the class and shifts one side down a column, giving
+a word poset one rank lower.  An extension, its inverse up to isomorphism,
+splices a fresh chain into a word that lists the chosen ideal first and
+shifts one side up; it labels the new poset along that word: the ideal in
+label order, then the new chain, then the rest in label order.  Iterating
+contractions along a letter sequence delta over {A, D} yields the
+delta-index vector; the walks over several stages hand each stage's chains
+and lexmin extension on to its indices and contractions, so no stage poset
+is searched twice.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from itertools import product
 
 from .word_poset import (
     WordPoset,
+    _greedy_extension,
     canonical_form,
-    from_relations,
     is_ideal,
     lexmin_extension,
     poset_of_word,
@@ -212,57 +216,47 @@ def contract_A(P: WordPoset) -> WordPoset:
     return contract_A_with_map(P)[0]
 
 
+def _splice(
+    lower: tuple[int, ...], upper: tuple[int, ...], rank: int, kind: str
+) -> tuple[int, ...]:
+    # The inverse of _contract's letter rule: put a fresh chain between the
+    # two parts of a rank-`rank` word and shift one side up a column.  The
+    # result is a word of the longest element one rank up, since
+    # c_D shift(v) = v c_D and shift(u) c_A = c_A u.
+    if kind == "D":
+        return lower + tuple(range(rank + 1, 0, -1)) + tuple(x + 1 for x in upper)
+    return tuple(x + 1 for x in lower) + tuple(range(1, rank + 2)) + upper
+
+
 def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:
     if not ideal <= frozenset(range(1, P.size + 1)):
         raise DomainError(f"{set(ideal)} is not a subset of the ground set")
     if not is_ideal(P, ideal):
         raise DomainError(f"{sorted(ideal)} is not an ideal")
-    new_rank = P.rank + 1
-    s = P.size
-
-    def old_column(k: int) -> int:
-        col = P.columns[k - 1]
-        if kind == "D":
-            return col if k in ideal else col + 1
-        return col + 1 if k in ideal else col
-
-    def new_column(i: int) -> int:
-        return new_rank + 1 - i if kind == "D" else i
-
-    columns = tuple(old_column(k) for k in range(1, s + 1)) + tuple(
-        new_column(i) for i in range(1, new_rank + 1)
-    )
-    relations: list[tuple[int, int]] = []
-    for x, y in P.covers:
-        if (x in ideal) == (y in ideal):
-            relations.append((x, y))
-    for i in range(1, new_rank):
-        relations.append((s + i, s + i + 1))
-    for col_chain in P.column_chains.values():
-        inside = [k for k in col_chain if k in ideal]
-        if inside:
-            top = inside[-1]
-            for i in range(1, new_rank + 1):
-                if abs(old_column(top) - new_column(i)) == 1:
-                    relations.append((top, s + i))
-        if len(inside) < len(col_chain):
-            bottom = col_chain[len(inside)]
-            for i in range(1, new_rank + 1):
-                if abs(new_column(i) - old_column(bottom)) == 1:
-                    relations.append((s + i, bottom))
-    return from_relations(columns, relations)
+    n = _w0_rank(P)
+    # a linear extension listing the ideal first, each part in label order
+    mask = sum(1 << (k - 1) for k in ideal)
+    inside = _greedy_extension(P, mask, 0, key=lambda k: k)
+    outside = _greedy_extension(P, ((1 << P.size) - 1) & ~mask, mask, key=lambda k: k)
+    lower = tuple(P.columns[k - 1] for k in inside)
+    upper = tuple(P.columns[k - 1] for k in outside)
+    return poset_of_word(Word(n + 1, _splice(lower, upper, n, kind)))
 
 
 def extend_D(P: WordPoset, ideal: frozenset) -> WordPoset:
     """Insert a fresh descending chain over the given ideal: the ideal keeps
     its columns, everything else moves one column right.  Inverts the
-    D-contraction: extend_D(contract_D(P), I_D(P)) is isomorphic to P."""
+    D-contraction: extend_D(contract_D(P), I_D(P)) is isomorphic to P.
+    P must be a word poset of the longest element.  The result is labeled
+    along the spliced word: the ideal, then the new chain, then the rest,
+    each part of P taken in label order."""
     return _extend(P, ideal, "D")
 
 
 def extend_A(P: WordPoset, ideal: frozenset) -> WordPoset:
     """Insert a fresh ascending chain over the given ideal: the ideal moves
-    one column right, everything else keeps its columns."""
+    one column right, everything else keeps its columns.  Domain and labels
+    as for extend_D."""
     return _extend(P, ideal, "A")
 
 
@@ -301,6 +295,8 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """All 2^(n-1) delta-indices, sharing each intermediate contraction
     across the deltas whose suffixes agree."""
     n = _w0_rank(P)
+    if n < 1:
+        raise DomainError("a delta-profile needs rank >= 1")
     if n == 1:
         return {"": ()}
     pairs: dict[str, tuple[int, int]] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .gc import classify_gc, gc_direct, gc_recurrence
+from .gc import BudgetExceeded, classify_gc, default_budget, gc_direct, gc_recurrence
 from .indices import delta_index, full_profile, ind_D
 from .word_poset import canonical_form, poset_of_word
 from .words import (
@@ -295,14 +295,25 @@ ALL_CHECKS: dict[str, Callable[..., Report]] = {
 
 def run_checks(names: list[str] | None = None, scale: int | None = None) -> list[Report]:
     """Run the named checks (all by default), overriding each one's scale
-    parameter when given."""
+    parameter when given.  The scale of table1 is the largest n of the
+    table; every other check takes a rank from 1 to the brute-force budget,
+    since each enumerates all words or classes of that rank."""
     selected = names or list(ALL_CHECKS)
-    reports = []
     for name in selected:
         if name not in ALL_CHECKS:
             raise DomainError(
                 f"unknown check {name!r}; available: {', '.join(sorted(ALL_CHECKS))}"
             )
+        least = 0 if name == "table1" else 1
+        if scale is not None and scale < least:
+            raise DomainError(f"{name} needs a scale of at least {least}, not {scale}")
+        if scale is not None and name != "table1" and scale > default_budget():
+            raise BudgetExceeded(
+                f"{name} at rank {scale} exceeds the budget {default_budget()}; "
+                f"set GCWORDS_BUDGET to raise it"
+            )
+    reports = []
+    for name in selected:
         check = ALL_CHECKS[name]
         if scale is None:
             reports.append(check())

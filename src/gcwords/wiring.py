@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .word_poset import WordPoset, from_relations
+from .word_poset import WordPoset, _covers_from_below
 from .words import DomainError, Word, is_reduced, longest_element, perm_of_word
 
 
@@ -85,10 +85,12 @@ def poset_of_wiring(diagram: WiringDiagram) -> WordPoset:
     """Order the crossings by downward paths: a crossing precedes every later
     crossing on either of its wires, transitively.  For the diagram of a
     reduced word this is the word poset (elements = rows)."""
-    relations = []
-    for rows in diagram.wires:
-        relations.extend(zip(rows, rows[1:]))
-    return from_relations(diagram.rows, sorted(set(relations)))
+    below = [0] * len(diagram.rows)
+    steps = sorted((b, a) for rows in diagram.wires for a, b in zip(rows, rows[1:]))
+    # by later row first: a crossing's down-set is complete before it is used
+    for row, above in steps:
+        below[row - 1] |= below[above - 1] | (1 << (above - 1))
+    return WordPoset(diagram.rows, tuple(_covers_from_below(below)))
 
 
 def render_ascii(diagram: WiringDiagram) -> str:

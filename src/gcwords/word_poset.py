@@ -163,34 +163,6 @@ def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
     return covers
 
 
-def from_relations(
-    columns: Sequence[int], relations: Sequence[tuple[int, int]]
-) -> WordPoset:
-    """Build a WordPoset from generating relations (transitive closure, then
-    the covers of the closure)."""
-    size = len(columns)
-    succ: list[list[int]] = [[] for _ in range(size)]
-    indegree = [0] * size
-    for x, y in relations:
-        succ[x - 1].append(y)
-        indegree[y - 1] += 1
-    ready = deque(k for k in range(1, size + 1) if indegree[k - 1] == 0)
-    below = [0] * size
-    seen = 0
-    while ready:
-        k = ready.popleft()
-        seen += 1
-        push = below[k - 1] | (1 << (k - 1))
-        for y in succ[k - 1]:
-            below[y - 1] |= push
-            indegree[y - 1] -= 1
-            if indegree[y - 1] == 0:
-                ready.append(y)
-    if seen != size:
-        raise DomainError("relations contain a cycle")
-    return WordPoset(tuple(columns), tuple(_covers_from_below(below)))
-
-
 def poset_of_word(w: Word) -> WordPoset:
     """The word poset of a reduced word: position j precedes position k when
     j < k and the letters at j, k differ by one.

@@ -1,15 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gcwords
 from gcwords import verify
 from gcwords.cli import main
-from gcwords.verify import Report
+from gcwords.verify import ALL_CHECKS, Report
+from gcwords.words import enumerate_reduced_words, longest_element
 
 
 def run(capsys, *argv):
@@ -155,6 +159,31 @@ def test_budget_refusal_and_force(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 16
 
 
+def test_gc_table_negative_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "gc-table", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_verify_scale_bounds(capsys, monkeypatch):
+    for argv in (
+        ("injectivity_theorem", "--scale", "0"),
+        ("tits_connectivity", "class_poset_equivalence", "table1", "--scale", "-1"),
+        ("table1", "--scale", "-1"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    code, out, _ = run(capsys, "verify", "table1", "--scale", "0")
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, _, err = run(capsys, "verify", "tits_connectivity", "--scale", "6")
+    assert code == 1 and "budget" in err
+    monkeypatch.setenv("GCWORDS_BUDGET", "2")
+    code, _, err = run(capsys, "verify", "contraction_laws", "--scale", "3")
+    assert code == 1 and "budget" in err
+    code, out, _ = run(capsys, "verify", "contraction_laws", "--scale", "2")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -189,3 +218,91 @@ def test_bad_integers_exit_1_without_traceback(argv, env_extra):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+# A small grammar of command lines: every subcommand with well-formed and
+# malformed arguments, ranks and scales kept at 4 or less so each call is
+# quick, and junk tokens appended (none of which names an output file).
+_VALID_WORDS = [
+    str(w) for n in range(1, 5) for w in enumerate_reduced_words(longest_element(n + 1))
+]
+_word = st.one_of(
+    st.sampled_from(_VALID_WORDS),
+    st.lists(st.integers(-1, 6), max_size=10).map(lambda ls: ",".join(map(str, ls))),
+    st.sampled_from(["", ",", "1,,2", "a", "1;2", " 1", "1.5", "w0"]),
+)
+_delta = st.text(alphabet="ADX", max_size=6)
+_small = st.integers(-2, 4).map(str)
+_partition = st.one_of(
+    st.lists(st.integers(-1, 8), max_size=4)
+    .filter(lambda parts: sum(parts) <= 8)
+    .map(lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["", "a", "3,,1", "4.0"]),
+)
+_perm = st.sampled_from(
+    ["[1]", "[2,1]", "[3,2,1]", "[4,3,2,1]", "[5,4,3,2,1]", "[2,2]", "[0,1]", "[", "[]"]
+)
+_format = st.sampled_from(["plain", "json", "csv", "jsonl", "xml"])
+_junk = st.sampled_from(
+    ["", "-", "--", "--bogus", "x", "w0", "--dot", "--ascii", "--force", "-h", "0", "-1", "AD"]
+)
+
+
+def _opt(*tokens):
+    return st.one_of(st.just([]), st.tuples(*tokens).map(list))
+
+
+_commands = st.one_of(
+    st.tuples(
+        st.just(["words"]),
+        st.one_of(st.tuples(st.just("w0"), _small).map(list), _perm.map(lambda p: [p])),
+        _opt(st.just("--force")),
+    ),
+    st.tuples(
+        st.just(["classes"]), _small.map(lambda n: [n]),
+        _opt(st.just("--format"), _format), _opt(st.just("--force")),
+    ),
+    st.tuples(
+        st.sampled_from([["poset"], ["gc-poset"]]),
+        st.one_of(_word, _delta).map(lambda t: [t]),
+        st.one_of(
+            st.just([]), st.just(["--dot"]), st.tuples(st.just("--format"), _format).map(list)
+        ),
+    ),
+    st.tuples(
+        st.just(["wiring"]), _word.map(lambda w: [w]),
+        st.sampled_from([[], ["--ascii"], ["--dot"]]),
+    ),
+    st.tuples(
+        st.just(["index"]), _word.map(lambda w: [w]), _opt(st.just("--delta"), _delta),
+    ),
+    st.tuples(
+        st.just(["profile"]), _word.map(lambda w: [w]), _opt(st.just("--format"), _format),
+    ),
+    st.tuples(st.just(["classify"]), _word.map(lambda w: [w])),
+    st.tuples(
+        st.just(["gc-table"]), _small.map(lambda n: [n]),
+        _opt(st.just("--format"), _format), _opt(st.just("--force")),
+    ),
+    st.tuples(st.just(["syt"]), _partition.map(lambda p: [p])),
+    st.tuples(
+        st.just(["verify"]),
+        st.lists(st.sampled_from(sorted(ALL_CHECKS) + ["nope"]), max_size=2),
+        st.tuples(st.just("--scale"), _small).map(list),
+    ),
+)
+_argv = st.tuples(_commands, st.lists(_junk, max_size=2)).map(
+    lambda parts: [token for chunk in parts[0] for token in chunk] + parts[1]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_argv)
+@example(["verify", "injectivity_theorem", "--scale", "0"])
+@example(["gc-table", "-1"])
+def test_fuzz_main_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

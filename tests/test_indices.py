@@ -28,6 +28,7 @@ from gcwords.indices import (
 from gcwords.word_poset import (
     WordPoset,
     canonical_form,
+    ideals,
     is_isomorphic,
     poset_of_word,
 )
@@ -168,6 +169,27 @@ def test_extend_rejects_non_ideal():
         extend_D(P, frozenset({2}))  # misses 1 below it
 
 
+def test_extend_rejects_non_w0_poset():
+    P = poset_of_word(parse_word("1,3"))
+    for extend in (extend_D, extend_A):
+        with pytest.raises(DomainError):
+            extend(P, frozenset())
+
+
+def test_contraction_inverts_extension(classes_of_rank):
+    # every class at ranks 1-4, every ideal, both kinds
+    for n in (1, 2, 3, 4):
+        for P in classes_of_rank(n):
+            for ideal in ideals(P):
+                for extend, contract, contraction_ideal in (
+                    (extend_D, contract_D, contraction_ideal_D),
+                    (extend_A, contract_A, contraction_ideal_A),
+                ):
+                    E = extend(P, ideal)
+                    assert canonical_form(contract(E)) == P
+                    assert len(contraction_ideal(E)) == len(ideal)
+
+
 def test_extension_inverts_contraction(classes_of_rank):
     for n in (1, 2, 3, 4):
         for P in classes_of_rank(n):
@@ -211,6 +233,8 @@ def test_full_profile_shapes():
     assert prof["DD"] == (0, 0)
     assert prof["AA"] == delta_index(P_STANDARD, "AA")
     assert full_profile(poset_of_word(parse_word("1"))) == {"": ()}
+    with pytest.raises(DomainError, match="rank >= 1"):
+        full_profile(poset_of_word(Word(0, ())))
 
 
 def test_full_profile_matches_delta_index(classes_of_rank):
