@@ -17,11 +17,12 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator
 
-from .indices import _contract, _index_of_chain, _splice, _stage, validate_delta
+from .indices import _checked_word, _contract, _splice, _stage, validate_delta
 from .word_poset import (
     WordPoset,
     canonical_form,
     count_linear_extensions,
+    lexmin_extension,
     poset_of_word,
     words_of_class,
 )
@@ -53,11 +54,15 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
+    return _classify_word(_checked_word(P, lexmin_extension(P)))
+
+
+def _classify_word(w: Word) -> str | None:
+    # classify_gc of the class of w; any word of the class gives the same
     letters = []
-    Q = P
-    for rank in range(P.rank, 1, -1):
-        extension, chains = _stage(Q)
-        a, d = (_index_of_chain(Q, chains[kind]) for kind in "AD")
+    for rank in range(w.rank, 1, -1):
+        stage = _stage(w)
+        a, d = stage["A"][1], stage["D"][1]
         if a == 0 and d == 0:
             raise RuntimeError("internal error: both indices vanish above rank 1")
         if a and d:
@@ -65,7 +70,7 @@ def classify_gc(P: WordPoset) -> str | None:
         kind = "A" if a == 0 else "D"
         letters.append(kind)
         if rank > 2:
-            Q = _contract(Q, extension, chains[kind], kind)[0]
+            w = _contract(w, stage[kind][0], kind)[0]
     return "".join(reversed(letters))
 
 

@@ -2,21 +2,19 @@
 
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
-1..n (the ascending chain); they share exactly one element.  Both chains are
-located together, once per poset, by two routes: direct column search and
-the wiring diagram of the lexmin word of the class; a mismatch means an
-internal bug and raises immediately.
+1..n (the ascending chain); they share exactly one element.  Each public
+function reads one linear extension of its poset, checks that the poset is
+that word's poset, and then works on letters alone: the chains are the rows
+where wires 1 and n+1 cross, a chain's index counts the later rows that
+repeat the letter of a chain row, and a contraction drops the chain's rows
+and shifts one side down a column.  The direct search of the column chains
+is the oracle in `verify`.
 
-Both chain operations are word edits.  A contraction drops a chain's
-letters from a word of the class and shifts one side down a column, giving
-a word poset one rank lower.  An extension, its inverse up to isomorphism,
-splices a fresh chain into a word that lists the chosen ideal first and
-shifts one side up; it labels the new poset along that word: the ideal in
-label order, then the new chain, then the rest in label order.  Iterating
-contractions along a letter sequence delta over {A, D} yields the
-delta-index vector; the walks over several stages hand each stage's chains
-and lexmin extension on to its indices and contractions, so no stage poset
-is searched twice.
+An extension, the inverse of a contraction up to isomorphism, splices a
+fresh chain into a word that lists the chosen ideal first and shifts one
+side up; it labels the new poset along that word: the ideal in label order,
+then the new chain, then the rest in label order.  Iterating contractions
+along a letter sequence delta over {A, D} yields the delta-index vector.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .word_poset import (
     WordPoset,
     _greedy_extension,
     canonical_form,
-    is_ideal,
     lexmin_extension,
     poset_of_word,
     word_of_extension,
@@ -36,71 +33,67 @@ from .wiring import chains_from_wires
 from .words import DomainError, Word, longest_element, perm_of_word
 
 
-def _w0_rank(P: WordPoset) -> int:
-    """Rank n with P expected in the family of the longest element of
-    S_{n+1}: every column 1..n used and n(n+1)/2 elements in total.  (The
-    per-column sizes are not invariant: 3-moves trade letters between
-    columns.)  Full membership is certified by the chain search plus the
-    wiring cross-check."""
-    n = P.rank
-    if P.size != n * (n + 1) // 2:
-        raise DomainError(
-            f"poset has {P.size} elements, not {n * (n + 1) // 2}: "
-            f"not a longest-element word poset"
-        )
-    for col in range(1, n + 1):
-        if col not in P.column_chains:
-            raise DomainError(f"column {col} is empty")
-    return n
+def _checked_word(P: WordPoset, extension: tuple[int, ...]) -> Word:
+    """The word of P along a linear extension, once P is checked to be that
+    word's poset: P's covers, relabeled by position in the extension, must
+    be the covers of poset_of_word.  From then on the word stands for P,
+    with row r for element extension[r-1]."""
+    w = word_of_extension(P, extension)
+    row = {k: r for r, k in enumerate(extension, start=1)}
+    if tuple(sorted((row[x], row[y]) for x, y in P.covers)) != poset_of_word(w).covers:
+        raise DomainError(f"poset is not the word poset of its word {w}")
+    return w
 
 
-def _unique_chain(P: WordPoset, which: str, wanted: range) -> tuple[int, ...]:
-    found: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(idx: int):
-        if len(found) >= 2:
-            return
-        if idx == len(wanted):
-            found.append(tuple(prefix))
-            return
-        for cand in P.column_chains[wanted[idx]]:
-            if prefix and not P.less(prefix[-1], cand):
-                continue
-            prefix.append(cand)
-            rec(idx + 1)
-            prefix.pop()
-
-    rec(0)
-    if not found:
-        raise DomainError(f"no {which}-chain: poset not a longest-element word poset")
-    if len(found) > 1:
-        raise DomainError(f"{which}-chain not unique: {found[0]} and {found[1]}")
-    return found[0]
-
-
-def _stage(P: WordPoset) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
-    """What one contraction stage needs of P: its lexmin extension and its
-    chains {"A": ascending, "D": descending}, each found by the unique-chain
-    search and cross-checked against the wiring diagram of the extension's
-    word."""
-    n = _w0_rank(P)
-    chains = {
-        "A": _unique_chain(P, "A", range(1, n + 1)),
-        "D": _unique_chain(P, "D", range(n, 0, -1)),
+def _stage(w: Word) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Per kind "A", "D": the chain's rows in w and its index, the number of
+    later rows that repeat the letter of a chain row.  Raises unless w is a
+    reduced word of the longest element."""
+    letters = w.letters
+    return {
+        kind: (rows, sum(letters[r:].count(letters[r - 1]) for r in rows))
+        for kind, rows in zip("AD", chains_from_wires(w))
     }
-    # independent derivation: the crossing rows of wires 1 and n+1 are
-    # positions in the extension, which maps them back to elements
+
+
+def _ideal_rows(letters: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
+    # the rows before the chain row of their column
+    chain_row = {letters[r - 1]: r for r in rows}
+    return [r for r, c in enumerate(letters, start=1) if r < chain_row[c]]
+
+
+def _contract(w: Word, rows: tuple[int, ...], kind: str) -> tuple[Word, list[int]]:
+    """Drop the chain rows of w and shift a row's letter down a column when
+    (it lies in the ideal below the chain) == (kind is A).  Returns the
+    contracted word and the rows of w it keeps, in order."""
+    # Restricting the order of the poset would be wrong: two kept elements
+    # may be related only through the removed chain, and such relations do
+    # not survive (the wires are spliced past the removed crossings).
+    ideal = set(_ideal_rows(w.letters, rows))
+    kept, letters = [], []
+    for r, c in enumerate(w.letters, start=1):
+        if r not in rows:
+            kept.append(r)
+            letters.append(c - 1 if (r in ideal) == (kind == "A") else c)
+    contracted = Word(w.rank - 1, tuple(letters))
+    if perm_of_word(contracted) != longest_element(w.rank):
+        raise RuntimeError(
+            f"internal error: contraction of {w} gave {contracted}, "
+            f"not a word of the longest element"
+        )
+    return contracted, kept
+
+
+def _lexmin_stage(P: WordPoset) -> tuple[tuple[int, ...], Word, dict]:
+    """The lexmin extension of P, its checked word and that word's stage."""
     extension = lexmin_extension(P)
-    wire_rows = dict(zip("AD", chains_from_wires(word_of_extension(P, extension))))
-    for which, chain in chains.items():
-        wire = tuple(extension[r - 1] for r in wire_rows[which])
-        if chain != wire:
-            raise RuntimeError(
-                f"internal error: {which}-chain search gave {chain} "
-                f"but the wiring diagram gave {wire}"
-            )
-    return extension, chains
+    w = _checked_word(P, extension)
+    return extension, w, _stage(w)
+
+
+def _chain(P: WordPoset, kind: str) -> tuple[int, ...]:
+    extension, _, stage = _lexmin_stage(P)
+    return tuple(extension[r - 1] for r in stage[kind][0])
 
 
 def descending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -111,7 +104,7 @@ def descending_chain(P: WordPoset) -> tuple[int, ...]:
     >>> descending_chain(poset_of_word(standard_word(3)))
     (4, 5, 6)
     """
-    return _stage(P)[1]["D"]
+    return _chain(P, "D")
 
 
 def ascending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -122,86 +115,49 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
     >>> ascending_chain(poset_of_word(standard_word(3)))
     (1, 2, 4)
     """
-    return _stage(P)[1]["A"]
-
-
-def _index_of_chain(P: WordPoset, chain: tuple[int, ...]) -> int:
-    # elements strictly above a chain element within its column
-    return sum(
-        len(P.column_chains[P.columns[c - 1]]) - P.column_rank(c) for c in chain
-    )
+    return _chain(P, "A")
 
 
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
-    return _index_of_chain(P, descending_chain(P))
+    return _lexmin_stage(P)[2]["D"][1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
-    return _index_of_chain(P, ascending_chain(P))
+    return _lexmin_stage(P)[2]["A"][1]
 
 
-def _ideal_below_chain(P: WordPoset, chain: tuple[int, ...]) -> frozenset:
-    members: set[int] = set()
-    for c in chain:
-        col_chain = P.column_chains[P.columns[c - 1]]
-        members.update(col_chain[: col_chain.index(c)])
-    ideal = frozenset(members)
-    if not is_ideal(P, ideal):
-        raise RuntimeError(f"internal error: the ideal below {chain} is not downward closed")
-    return ideal
+def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
+    extension, w, stage = _lexmin_stage(P)
+    return frozenset(extension[r - 1] for r in _ideal_rows(w.letters, stage[kind][0]))
 
 
 def contraction_ideal_D(P: WordPoset) -> frozenset:
     """Elements below the descending chain within its columns."""
-    return _ideal_below_chain(P, descending_chain(P))
+    return _contraction_ideal(P, "D")
 
 
 def contraction_ideal_A(P: WordPoset) -> frozenset:
     """Elements below the ascending chain within its columns."""
-    return _ideal_below_chain(P, ascending_chain(P))
+    return _contraction_ideal(P, "A")
 
 
-def _contract(
-    P: WordPoset, extension: tuple[int, ...], chain: tuple[int, ...], kind: str
-) -> tuple[WordPoset, dict[int, int]]:
-    # Work on a word of the class: drop the chain's rows and shift the
-    # letters on one side.  Restricting the order of P itself would be wrong:
-    # two kept elements may be related only through the removed chain, and
-    # such relations do not survive (the wires are spliced past the removed
-    # crossings).
-    ideal = _ideal_below_chain(P, chain)
-    shift_ideal = kind == "A"
-    removed = set(chain)
-    relabel: dict[int, int] = {}
-    new_letters = []
-    for elem in extension:
-        if elem in removed:
-            continue
-        letter = P.columns[elem - 1]
-        shifted = letter - 1 if (elem in ideal) == shift_ideal else letter
-        new_letters.append(shifted)
-        relabel[elem] = len(new_letters)
-    contracted = Word(P.rank - 1, tuple(new_letters))
-    if perm_of_word(contracted) != longest_element(P.rank):
-        raise RuntimeError(
-            f"internal error: contraction of {word_of_extension(P, extension)} "
-            f"gave {contracted}, not a word of the longest element"
-        )
+def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
+    extension, w, stage = _lexmin_stage(P)
+    contracted, kept = _contract(w, stage[kind][0], kind)
+    relabel = {extension[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
 
 def contract_D_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
     """D-contraction plus the old-to-new element relabeling."""
-    extension, chains = _stage(P)
-    return _contract(P, extension, chains["D"], "D")
+    return _contract_with_map(P, "D")
 
 
 def contract_A_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
     """A-contraction plus the old-to-new element relabeling."""
-    extension, chains = _stage(P)
-    return _contract(P, extension, chains["A"], "A")
+    return _contract_with_map(P, "A")
 
 
 def contract_D(P: WordPoset) -> WordPoset:
@@ -231,15 +187,16 @@ def _splice(
 def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:
     if not ideal <= frozenset(range(1, P.size + 1)):
         raise DomainError(f"{set(ideal)} is not a subset of the ground set")
-    if not is_ideal(P, ideal):
-        raise DomainError(f"{sorted(ideal)} is not an ideal")
-    n = _w0_rank(P)
-    # a linear extension listing the ideal first, each part in label order
+    # a linear extension listing the ideal first, each part in label order;
+    # the first part fails unless the ideal is downward closed
     mask = sum(1 << (k - 1) for k in ideal)
     inside = _greedy_extension(P, mask, 0, key=lambda k: k)
     outside = _greedy_extension(P, ((1 << P.size) - 1) & ~mask, mask, key=lambda k: k)
-    lower = tuple(P.columns[k - 1] for k in inside)
-    upper = tuple(P.columns[k - 1] for k in outside)
+    w = _checked_word(P, tuple(inside + outside))
+    n = w.rank
+    if perm_of_word(w) != longest_element(n + 1):
+        raise DomainError(f"{w} is not a reduced word of the longest element")
+    lower, upper = w.letters[: len(inside)], w.letters[len(inside) :]
     return poset_of_word(Word(n + 1, _splice(lower, upper, n, kind)))
 
 
@@ -277,38 +234,40 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     (0, 0)
     """
     validate_delta(delta)
-    n = _w0_rank(P)
+    w = _checked_word(P, lexmin_extension(P))
+    n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
     out = [0] * (n - 1)
-    Q = P
     for k in range(n - 1, 0, -1):
         kind = delta[k - 1]
-        extension, chains = _stage(Q)
-        out[k - 1] = _index_of_chain(Q, chains[kind])
+        rows, out[k - 1] = _stage(w)[kind]
         if k > 1:
-            Q = _contract(Q, extension, chains[kind], kind)[0]
+            w = _contract(w, rows, kind)[0]
     return tuple(out)
 
 
 def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """All 2^(n-1) delta-indices, sharing each intermediate contraction
     across the deltas whose suffixes agree."""
-    n = _w0_rank(P)
+    return _word_profile(_checked_word(P, lexmin_extension(P)))
+
+
+def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:
+    # full_profile of the class of w; any word of the class gives the same
+    n = w.rank
     if n < 1:
         raise DomainError("a delta-profile needs rank >= 1")
-    if n == 1:
-        return {"": ()}
     pairs: dict[str, tuple[int, int]] = {}
 
-    def descend(Q: WordPoset, suffix: str):
-        extension, chains = _stage(Q)
-        pairs[suffix] = tuple(_index_of_chain(Q, chains[kind]) for kind in "AD")
+    def descend(v: Word, suffix: str):
+        stage = _stage(v)
+        pairs[suffix] = (stage["A"][1], stage["D"][1])
         if len(suffix) < n - 2:
             for kind in "AD":
-                descend(_contract(Q, extension, chains[kind], kind)[0], kind + suffix)
+                descend(_contract(v, stage[kind][0], kind)[0], kind + suffix)
 
-    descend(P, "")
+    descend(w, "")
     profile = {}
     for letters in product("AD", repeat=n - 1):
         delta = "".join(letters)

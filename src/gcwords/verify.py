@@ -18,7 +18,7 @@ from typing import Callable
 
 from .gc import BudgetExceeded, classify_gc, default_budget, gc_direct, gc_recurrence
 from .indices import delta_index, full_profile, ind_D
-from .word_poset import canonical_form, poset_of_word
+from .word_poset import WordPoset, canonical_form, is_ideal, poset_of_word
 from .words import (
     DomainError,
     Word,
@@ -185,10 +185,41 @@ def check_injectivity_theorem(n: int = 4) -> Report:
     return _run("injectivity_theorem", {"n": n}, body)
 
 
+def _unique_chain(P: WordPoset, which: str) -> tuple[int, ...]:
+    """The chain oracle: search the column chains of P directly for the
+    unique chain reading 1..n (which="A") or n..1 (which="D")."""
+    n = P.rank
+    wanted = range(1, n + 1) if which == "A" else range(n, 0, -1)
+    found: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def rec(idx: int):
+        if len(found) >= 2:
+            return
+        if idx == len(wanted):
+            found.append(tuple(prefix))
+            return
+        for cand in P.column_chains.get(wanted[idx], ()):
+            if prefix and not P.less(prefix[-1], cand):
+                continue
+            prefix.append(cand)
+            rec(idx + 1)
+            prefix.pop()
+
+    rec(0)
+    if not found:
+        raise DomainError(f"no {which}-chain: poset not a longest-element word poset")
+    if len(found) > 1:
+        raise DomainError(f"{which}-chain not unique: {found[0]} and {found[1]}")
+    return found[0]
+
+
 def check_contraction_laws(n: int = 4) -> Report:
-    """Per commutation class: the chains share exactly one element, removing
-    a chain and re-extending over its ideal reproduces the class, and the
-    chains restrict to the chains of the contraction."""
+    """Per commutation class: the chains read off a word are the unique
+    chains found by searching the column chains, they share exactly one
+    element, the elements below each chain form an ideal, removing a chain
+    and re-extending over its ideal reproduces the class, and the chains
+    restrict to the chains of the contraction."""
     from .indices import (
         ascending_chain,
         contract_A_with_map,
@@ -196,17 +227,22 @@ def check_contraction_laws(n: int = 4) -> Report:
         contraction_ideal_A,
         contraction_ideal_D,
         descending_chain,
+        extend_A,
+        extend_D,
     )
     from .word_poset import enumerate_commutation_classes, is_isomorphic, lexmin_word
-    from .indices import extend_A, extend_D
 
     def body():
         for P in enumerate_commutation_classes(n):
             rep = str(lexmin_word(P))
             A = ascending_chain(P)
             D = descending_chain(P)
+            if (A, D) != (_unique_chain(P, "A"), _unique_chain(P, "D")):
+                return False, {"word": rep, "reason": "chains differ from the column search"}
             if len(set(A) & set(D)) != 1:
                 return False, {"word": rep, "reason": "|A intersect D| != 1"}
+            if not (is_ideal(P, contraction_ideal_A(P)) and is_ideal(P, contraction_ideal_D(P))):
+                return False, {"word": rep, "reason": "a contraction ideal is not an ideal"}
             Q, m = contract_D_with_map(P)
             ideal = frozenset(m[k] for k in contraction_ideal_D(P))
             if not is_isomorphic(extend_D(Q, ideal), P):

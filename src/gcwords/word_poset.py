@@ -135,10 +135,6 @@ class WordPoset:
             chains[col] = tuple(members)
         return chains
 
-    def column_rank(self, k: int) -> int:
-        """1-based height of element k within its column chain."""
-        return self.column_chains[self.columns[k - 1]].index(k) + 1
-
 
 def _bits(mask: int) -> tuple[int, ...]:
     out = []

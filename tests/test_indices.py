@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwords import indices, wiring, word_poset
+from gcwords import gc, indices, wiring, word_poset
 from gcwords.gc import classify_gc
 from gcwords.indices import (
     ascending_chain,
@@ -31,7 +31,9 @@ from gcwords.word_poset import (
     ideals,
     is_isomorphic,
     poset_of_word,
+    word_of_extension,
 )
+from gcwords.verify import _unique_chain
 from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
@@ -84,17 +86,14 @@ def sampled_words(n, count, seed):
 
 
 def test_chains_agree_with_wiring_rows(words_of_rank):
-    # elements of the word poset are word positions, so the chains are
-    # literally the crossing rows of wires 1 and n+1
-    from gcwords.wiring import chains_from_wires
-
+    # the production chains are wiring rows mapped back to elements; the
+    # column-chain search of the verify oracle knows nothing of wires
     samples = [w for n in (2, 3, 4) for w in words_of_rank(n)]
     samples += sampled_words(5, 300, seed=5) + sampled_words(6, 150, seed=6)
     for w in samples:
         P = poset_of_word(w)
-        a_rows, d_rows = chains_from_wires(w)
-        assert ascending_chain(P) == a_rows
-        assert descending_chain(P) == d_rows
+        assert ascending_chain(P) == _unique_chain(P, "A")
+        assert descending_chain(P) == _unique_chain(P, "D")
 
 
 def test_ind_golden():
@@ -174,6 +173,23 @@ def test_extend_rejects_non_w0_poset():
     for extend in (extend_D, extend_A):
         with pytest.raises(DomainError):
             extend(P, frozenset())
+
+
+def test_hand_built_non_word_poset_rejected():
+    # right size, every column a chain and every column used, yet the
+    # poset of no word: each word-level route must refuse it rather than
+    # answer for the word it reads off
+    assert (2, 4) in P_STANDARD.covers
+    Q = WordPoset(P_STANDARD.columns, tuple(c for c in P_STANDARD.covers if c != (2, 4)))
+    for call in (
+        lambda: extend_D(Q, frozenset()),
+        lambda: extend_A(Q, frozenset()),
+        lambda: full_profile(Q),
+        lambda: ind_A(Q),
+        lambda: classify_gc(Q),
+    ):
+        with pytest.raises(DomainError, match="not the word poset"):
+            call()
 
 
 def test_contraction_inverts_extension(classes_of_rank):
@@ -308,43 +324,80 @@ def test_full_profile_and_classify_match_single_stage_calls(n, seed):
     assert classify_gc(P) == (zero[0] if zero else None)
 
 
+def random_extension(P, rng):
+    """A linear extension of P, adding a randomly chosen minimal element of
+    the rest at each step."""
+    order = []
+    while len(order) < P.size:
+        ready = [
+            k
+            for k in range(1, P.size + 1)
+            if k not in order and set(P.elements_below(k)) <= set(order)
+        ]
+        order.append(rng.choice(ready))
+    return tuple(order)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=2, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
+def test_word_walks_read_any_word_of_the_class(n, seed):
+    # the public functions read the lexmin word; any other word of the
+    # class must give the same answers
+    rng = random.Random(seed)
+    P = canonical_form(poset_of_word(random_w0_word(n, rng)))
+    w = word_of_extension(P, random_extension(P, rng))
+    assert indices._word_profile(w) == full_profile(P)
+    assert gc._classify_word(w) == classify_gc(P)
+
+
 @pytest.fixture
-def stage_calls(monkeypatch):
-    """Counts calls of the wiring cross-check and of the lexmin extension,
-    under every name they are reached by."""
-    calls = Counter()
+def calls(monkeypatch):
+    """Counts calls of the lexmin extension, of poset_of_word and of the
+    wiring chains, under every name the package reaches them by."""
+    counter = Counter()
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            counter[name] += 1
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name, module, real in (
-        ("chains_from_wires", wiring, wiring.chains_from_wires),
-        ("lexmin_extension", word_poset, word_poset.lexmin_extension),
+    for name, real in (
+        ("lexmin_extension", word_poset.lexmin_extension),
+        ("poset_of_word", word_poset.poset_of_word),
+        ("chains_from_wires", wiring.chains_from_wires),
     ):
         wrapper = counting(name, real)
-        monkeypatch.setattr(module, name, wrapper)
-        monkeypatch.setattr(indices, name, wrapper)
-    return calls
+        for module in (word_poset, wiring, indices, gc):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return counter
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_full_profile_stages_each_poset_once(stage_calls, seed):
+def test_full_profile_stages_each_poset_once(calls, seed):
+    # one poset is read (lexmin word, entry check); every stage is a word
     n = 5
     P = poset_of_word(random_w0_word(n, random.Random(seed)))
     full_profile(P)
     stages = 2 ** (n - 1) - 1
-    assert stage_calls == {"chains_from_wires": stages, "lexmin_extension": stages}
+    assert calls == {"lexmin_extension": 1, "poset_of_word": 1, "chains_from_wires": stages}
+
+
+@pytest.mark.parametrize("delta", ["AAAA", "ADDA", "DDDD"])
+def test_delta_index_builds_one_poset(calls, delta):
+    n = 5
+    delta_index(poset_of_word(random_w0_word(n, random.Random(4))), delta)
+    assert calls == {"lexmin_extension": 1, "poset_of_word": 1, "chains_from_wires": n - 1}
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_classify_gc_stages_each_poset_once(stage_calls, seed):
+def test_classify_gc_stages_each_poset_once(calls, seed):
     n = 5
     w = standard_word(n) if seed is None else random_w0_word(n, random.Random(seed))
     delta = classify_gc(poset_of_word(w))
-    assert stage_calls["chains_from_wires"] == stage_calls["lexmin_extension"] <= n - 1
+    assert calls["lexmin_extension"] == calls["poset_of_word"] == 1
+    assert calls["chains_from_wires"] <= n - 1
     if delta is not None:
-        assert stage_calls["chains_from_wires"] == n - 1
+        assert calls["chains_from_wires"] == n - 1
