@@ -83,10 +83,12 @@ def _cmd_words(args) -> int:
 
 def _cmd_classes(args) -> int:
     _check_rank_budget(args.n, args, "enumerating commutation classes")
-    reps = [
-        str(word_poset.lexmin_word(P))
+    lexmin = [
+        word_poset.lexmin_word(P)
         for P in word_poset.enumerate_commutation_classes(args.n)
     ]
+    # in letter order, so the output does not depend on the enumeration route
+    reps = [str(w) for w in sorted(lexmin, key=lambda w: w.letters)]
     if args.format == "json":
         print(json.dumps({"n": args.n, "count": len(reps), "classes": reps}, sort_keys=True))
     else:

@@ -17,7 +17,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator
 
-from .indices import _checked_word, _contract, _splice, _stage, validate_delta
+from .indices import _checked_word, _contract, _stage, validate_delta
 from .word_poset import (
     WordPoset,
     canonical_form,
@@ -26,7 +26,7 @@ from .word_poset import (
     poset_of_word,
     words_of_class,
 )
-from .words import DomainError, Word
+from .words import DomainError, Word, _splice
 
 
 class BudgetExceeded(DomainError):

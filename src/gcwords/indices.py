@@ -30,7 +30,7 @@ from .word_poset import (
     word_of_extension,
 )
 from .wiring import chains_from_wires
-from .words import DomainError, Word, longest_element, perm_of_word
+from .words import DomainError, Word, _splice, longest_element, perm_of_word
 
 
 def _checked_word(P: WordPoset, extension: tuple[int, ...]) -> Word:
@@ -170,18 +170,6 @@ def contract_A(P: WordPoset) -> WordPoset:
     """Remove the ascending chain; the part below it shifts one column left,
     the rest stays.  Drops the rank by one."""
     return contract_A_with_map(P)[0]
-
-
-def _splice(
-    lower: tuple[int, ...], upper: tuple[int, ...], rank: int, kind: str
-) -> tuple[int, ...]:
-    # The inverse of _contract's letter rule: put a fresh chain between the
-    # two parts of a rank-`rank` word and shift one side up a column.  The
-    # result is a word of the longest element one rank up, since
-    # c_D shift(v) = v c_D and shift(u) c_A = c_A u.
-    if kind == "D":
-        return lower + tuple(range(rank + 1, 0, -1)) + tuple(x + 1 for x in upper)
-    return tuple(x + 1 for x in lower) + tuple(range(1, rank + 2)) + upper
 
 
 def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:

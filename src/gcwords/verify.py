@@ -18,7 +18,16 @@ from typing import Callable
 
 from .gc import BudgetExceeded, classify_gc, default_budget, gc_direct, gc_recurrence
 from .indices import delta_index, full_profile, ind_D
-from .word_poset import WordPoset, canonical_form, is_ideal, poset_of_word
+from .word_poset import (
+    WordPoset,
+    _greedy_extension,
+    canonical_form,
+    enumerate_commutation_classes,
+    is_ideal,
+    lexmin_word,
+    poset_of_word,
+    word_of_extension,
+)
 from .words import (
     DomainError,
     Word,
@@ -29,6 +38,7 @@ from .words import (
     legal_3moves,
     longest_element,
     parse_word,
+    standard_word,
 )
 
 # Reference values the checks recompute from scratch: gc(n) for n = 0..8,
@@ -119,10 +129,68 @@ def _two_move_components(words: list[Word]) -> dict[Word, int]:
     return component
 
 
+def braid_triples(P: WordPoset) -> list[tuple[int, int, int]]:
+    """Triples x < y < z with equal end columns, adjacent middle column and
+    open interval (x, z) = {y}: exactly the sites where some word of the
+    class admits a 3-move with these three positions adjacent."""
+    up, down = P._up_masks, P._down_masks
+    triples = []
+    for y in range(1, P.size + 1):
+        for x in P._lower_covers[y - 1]:
+            for z in P._upper_covers[y - 1]:
+                if P.columns[z - 1] != P.columns[x - 1]:
+                    continue
+                if up[x - 1] & down[z - 1] == 1 << (y - 1):
+                    triples.append((x, y, z))
+    triples.sort()
+    return triples
+
+
+def extension_through_triple(
+    P: WordPoset, triple: tuple[int, int, int]
+) -> tuple[int, ...]:
+    """A linear extension placing the triple consecutively."""
+    x, y, z = triple
+    xyz = (1 << (x - 1)) | (1 << (y - 1)) | (1 << (z - 1))
+    head_pool = P._down_masks[z - 1] & ~xyz
+    head = _greedy_extension(P, head_pool, 0, key=lambda k: k)
+    placed = head_pool | xyz
+    tail_pool = ((1 << P.size) - 1) & ~placed
+    tail = _greedy_extension(P, tail_pool, placed, key=lambda k: k)
+    return tuple(head) + (x, y, z) + tuple(tail)
+
+
+def class_3move_neighbors(P: WordPoset) -> list[WordPoset]:
+    """Canonical posets of the classes one 3-move away, in triple order."""
+    neighbors = []
+    for triple in braid_triples(P):
+        extension = extension_through_triple(P, triple)
+        w = word_of_extension(P, extension)
+        moved = apply_3move(w, extension.index(triple[0]) + 1)
+        neighbors.append(canonical_form(poset_of_word(moved)))
+    return neighbors
+
+
+def _classes_by_3moves(n: int) -> set[WordPoset]:
+    """The class oracle: the canonical posets of all commutation classes, by
+    breadth-first search over 3-move neighbors from the standard word."""
+    start = canonical_form(poset_of_word(standard_word(n)))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for neighbor in class_3move_neighbors(queue.popleft()):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return seen
+
+
 def check_class_poset_equivalence(n: int = 4) -> Report:
     """Partitioning the words by 2-move reachability agrees with partitioning
-    by canonical word-poset form, and the class count matches the reference
-    sequence."""
+    by canonical word-poset form, the class count matches the reference
+    sequence, and the splice enumeration yields each class once: its set of
+    canonical posets is that of the 2-move components and that of the 3-move
+    search."""
 
     def body():
         words = _all_words(n)
@@ -140,6 +208,21 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
         expected = CLASS_COUNTS.get(n)
         if expected is not None and classes != expected:
             return False, {"classes": classes, "expected": expected}
+        enumerated: set[WordPoset] = set()
+        for P in enumerate_commutation_classes(n):
+            if P in enumerated:
+                return False, {"word": str(lexmin_word(P)), "reason": "class enumerated twice"}
+            enumerated.add(P)
+        for route, found in (
+            ("2-move components", set(key_to_comp)),
+            ("3-move search", _classes_by_3moves(n)),
+        ):
+            if found != enumerated:
+                odd = min((lexmin_word(P) for P in found ^ enumerated), key=lambda w: w.letters)
+                return False, {
+                    "word": str(odd),
+                    "reason": f"enumerated classes differ from the {route}",
+                }
         return True, None
 
     return _run("class_poset_equivalence", {"n": n}, body)
@@ -230,7 +313,7 @@ def check_contraction_laws(n: int = 4) -> Report:
         extend_A,
         extend_D,
     )
-    from .word_poset import enumerate_commutation_classes, is_isomorphic, lexmin_word
+    from .word_poset import is_isomorphic
 
     def body():
         for P in enumerate_commutation_classes(n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .word_poset import WordPoset, _covers_from_below
-from .words import DomainError, Word, is_reduced, longest_element, perm_of_word
+from .words import DomainError, Word, longest_element, perm_of_word
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ((1, 2, 4), (4, 5, 6))
     """
     n = w.rank
-    if not is_reduced(w) or perm_of_word(w) != longest_element(n + 1):
+    # a word of length n(n+1)/2 that evaluates to w0 is reduced
+    if len(w.letters) != n * (n + 1) // 2 or perm_of_word(w) != longest_element(n + 1):
         raise DomainError(f"{w} is not a reduced word of the longest element")
     diagram = wiring_of_word(w)
     a_rows = diagram.wires[0]

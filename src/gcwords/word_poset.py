@@ -4,7 +4,9 @@ The poset of a reduced word relates two positions when their letters differ
 by one; linear extensions of the poset read back exactly the words of the
 commutation class.  Elements in one column always form a chain, which makes
 two things cheap: a forced canonical relabeling (by column, then height in
-the column) and ideal bookkeeping by per-column counts only.
+the column) and ideal bookkeeping by per-column counts only.  One walker of
+the ideal lattice serves counting, listing ideals and the enumeration of
+commutation classes by word splices.
 
 Comparability is answered from bitmasks (one int per element), so the sizes
 handled here (l <= 36 at rank 8) cost nothing.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .words import DomainError, Word, apply_3move, is_reduced, standard_word
+from .words import DomainError, Word, _splice, is_reduced, standard_word
 
 
 @dataclass(frozen=True)
@@ -221,18 +223,19 @@ def linear_extensions(P: WordPoset) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
-def _ideal_levels(P: WordPoset) -> Iterator[dict[tuple[int, ...], int]]:
+def _ideal_levels(
+    needs: Sequence[Sequence[Sequence[tuple[int, int]]]],
+) -> Iterator[dict[tuple[int, ...], int]]:
     """The lattice of order ideals, one level per ideal size, smallest
     first.  A level maps each ideal, keyed by its per-column counts in
     ascending column order, to the number of ways to build it one element at
     a time (its linear extensions).  The key is lossless because an ideal
-    meets each column chain in a prefix."""
-    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
-    # an element is addable once each lower cover x is in, i.e. once the
-    # count of x's chain reaches x's height there
-    place = {k: (ci, h) for ci, chain in enumerate(chains) for h, k in enumerate(chain, 1)}
-    needs = [[[place[x] for x in P._lower_covers[k - 1]] for k in chain] for chain in chains]
-    ncols = len(chains)
+    meets each column chain in a prefix.
+
+    needs[ci][h] lists pairs (cj, m): the element at height h+1 of column
+    ci is addable once column cj holds at least m elements.  len(needs[ci])
+    is the length of column ci."""
+    ncols = len(needs)
     level: dict[tuple[int, ...], int] = {(0,) * ncols: 1}
     while level:
         yield level
@@ -240,12 +243,32 @@ def _ideal_levels(P: WordPoset) -> Iterator[dict[tuple[int, ...], int]]:
         for counts, ways in level.items():
             for ci in range(ncols):
                 taken = counts[ci]
-                if taken == len(chains[ci]):
+                if taken == len(needs[ci]):
                     continue
                 if all(counts[rj] >= rh for rj, rh in needs[ci][taken]):
                     key = counts[:ci] + (taken + 1,) + counts[ci + 1 :]
                     nxt[key] = nxt.get(key, 0) + ways
         level = nxt
+
+
+def _poset_needs(P: WordPoset) -> list[list[list[tuple[int, int]]]]:
+    # an element is addable once each lower cover x is in, i.e. once the
+    # count of x's chain reaches x's height there
+    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
+    place = {k: (ci, h) for ci, chain in enumerate(chains) for h, k in enumerate(chain, 1)}
+    return [[[place[x] for x in P._lower_covers[k - 1]] for k in chain] for chain in chains]
+
+
+def _word_needs(letters: Sequence[int], rank: int) -> list[list[list[tuple[int, int]]]]:
+    # The same table read off a word whose letters use every column 1..rank:
+    # the k-th occurrence of c is addable once columns c-1 and c+1 hold all
+    # their occurrences before it.
+    needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(rank)]
+    seen = [0] * (rank + 2)
+    for c in letters:
+        needs[c - 1].append([(d - 1, seen[d]) for d in (c - 1, c + 1) if seen[d]])
+        seen[c] += 1
+    return needs
 
 
 def count_linear_extensions(P: WordPoset) -> int:
@@ -254,7 +277,7 @@ def count_linear_extensions(P: WordPoset) -> int:
     >>> count_linear_extensions(poset_of_word(standard_word(3)))
     2
     """
-    for level in _ideal_levels(P):
+    for level in _ideal_levels(_poset_needs(P)):
         pass  # the last level holds the full ideal alone
     (total,) = level.values()
     return total
@@ -263,7 +286,7 @@ def count_linear_extensions(P: WordPoset) -> int:
 def ideals(P: WordPoset) -> Iterator[frozenset]:
     """All order ideals, smallest first, deterministically ordered."""
     chains = [P.column_chains[col] for col in sorted(P.column_chains)]
-    for level in _ideal_levels(P):
+    for level in _ideal_levels(_poset_needs(P)):
         for counts in sorted(level):
             yield frozenset(k for chain, c in zip(chains, counts) for k in chain[:c])
 
@@ -347,66 +370,41 @@ def words_of_class(P: WordPoset) -> Iterator[Word]:
         yield word_of_extension(P, extension)
 
 
-def braid_triples(P: WordPoset) -> list[tuple[int, int, int]]:
-    """Triples x < y < z with equal end columns, adjacent middle column and
-    open interval (x, z) = {y}: exactly the sites where some word of the
-    class admits a 3-move with these three positions adjacent."""
-    up, down = P._up_masks, P._down_masks
-    triples = []
-    for y in range(1, P.size + 1):
-        for x in P._lower_covers[y - 1]:
-            for z in P._upper_covers[y - 1]:
-                if P.columns[z - 1] != P.columns[x - 1]:
-                    continue
-                if up[x - 1] & down[z - 1] == 1 << (y - 1):
-                    triples.append((x, y, z))
-    triples.sort()
-    return triples
-
-
-def extension_through_triple(
-    P: WordPoset, triple: tuple[int, int, int]
-) -> tuple[int, ...]:
-    """A linear extension placing the triple consecutively."""
-    x, y, z = triple
-    xyz = (1 << (x - 1)) | (1 << (y - 1)) | (1 << (z - 1))
-    head_pool = P._down_masks[z - 1] & ~xyz
-    head = _greedy_extension(P, head_pool, 0, key=lambda k: k)
-    placed = head_pool | xyz
-    tail_pool = ((1 << P.size) - 1) & ~placed
-    tail = _greedy_extension(P, tail_pool, placed, key=lambda k: k)
-    return tuple(head) + (x, y, z) + tuple(tail)
-
-
-def class_3move_neighbors(P: WordPoset) -> list[WordPoset]:
-    """Canonical posets of the classes one 3-move away, in triple order."""
-    neighbors = []
-    for triple in braid_triples(P):
-        extension = extension_through_triple(P, triple)
-        w = word_of_extension(P, extension)
-        moved = apply_3move(w, extension.index(triple[0]) + 1)
-        neighbors.append(canonical_form(poset_of_word(moved)))
-    return neighbors
+def _class_words(n: int) -> Iterator[tuple[int, ...]]:
+    # One letter word per commutation class at rank n.  Every rank-n class
+    # is the D-extension of one rank-(n-1) class Q over one ideal of Q, and
+    # each such pair gives a different class, so splicing a fresh descending
+    # chain into each word of the rank below, over each ideal of its poset,
+    # meets every class once.  The ideal's letters come first: the first
+    # counts[c-1] occurrences of each letter c, in word order.
+    if n == 0:
+        yield ()
+        return
+    for v in _class_words(n - 1):
+        for level in _ideal_levels(_word_needs(v, n - 1)):
+            for counts in level:
+                seen = [0] * (n + 1)
+                lower, upper = [], []
+                for c in v:
+                    (lower if seen[c] < counts[c - 1] else upper).append(c)
+                    seen[c] += 1
+                yield _splice(tuple(lower), tuple(upper), n - 1, "D")
 
 
 def enumerate_commutation_classes(n: int) -> Iterator[WordPoset]:
     """One canonical word poset per commutation class of the longest element,
-    by breadth-first search over 3-move neighbors starting from the standard
-    word.  Never materializes the words of a class.
+    each once.  The classes are built by word splices: each class of rank n
+    extends one class of rank n-1 by a descending chain over one of its
+    order ideals.  Holds O(n) words at a time and never materializes the
+    words of a class.
 
     >>> sum(1 for _ in enumerate_commutation_classes(3))
     8
     """
-    start = canonical_form(poset_of_word(standard_word(n)))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        P = queue.popleft()
-        yield P
-        for neighbor in class_3move_neighbors(P):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
+    if n < 1:
+        raise DomainError(f"rank must be positive, got {n}")
+    for letters in _class_words(n):
+        yield canonical_form(poset_of_word(Word(n, letters)))
 
 
 def render_dot(P: WordPoset, column_guides: bool = False) -> str:

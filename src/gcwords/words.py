@@ -189,6 +189,18 @@ def apply_3move(w: Word, pos: int) -> Word:
     return Word(w.rank, tuple(letters))
 
 
+def _splice(
+    lower: tuple[int, ...], upper: tuple[int, ...], rank: int, kind: str
+) -> tuple[int, ...]:
+    # The inverse of the contraction letter rule (indices._contract): put a
+    # fresh chain between the two parts of a rank-`rank` word and shift one
+    # side up a column.  The result is a word of the longest element one
+    # rank up, since c_D shift(v) = v c_D and shift(u) c_A = c_A u.
+    if kind == "D":
+        return lower + tuple(range(rank + 1, 0, -1)) + tuple(x + 1 for x in upper)
+    return tuple(x + 1 for x in lower) + tuple(range(1, rank + 2)) + upper
+
+
 def legal_2moves(w: Word) -> list[int]:
     """Positions where a 2-move applies, scanned left to right."""
     return [

@@ -78,6 +78,19 @@ def test_classes(capsys):
     assert payload["count"] == 8
 
 
+def test_classes_sorted_as_the_3move_oracle(capsys):
+    from gcwords.verify import _classes_by_3moves
+    from gcwords.word_poset import lexmin_word
+
+    code, out, _ = run(capsys, "classes", "4")
+    lines = out.splitlines()
+    assert code == 0 and len(set(lines)) == len(lines) == 62
+    assert lines == sorted(lines)
+    assert lines == sorted(str(lexmin_word(P)) for P in _classes_by_3moves(4))
+    code, out, _ = run(capsys, "classes", "4", "--format", "json")
+    assert json.loads(out)["classes"] == lines
+
+
 def test_poset_formats(capsys):
     code, out, _ = run(capsys, "poset", "1,3,2,1,3,2")
     assert code == 0

@@ -80,6 +80,11 @@ def test_chains_require_longest_element():
         chains_from_wires(parse_word("1,2"))
     with pytest.raises(DomainError):
         chains_from_wires(Word(2, (1, 1)))
+    # non-reduced words: of the length of w0, and longer ones evaluating to w0
+    for letters in ((1, 1, 2), (2, 1, 1), (1, 2, 3, 3, 2, 1), (1, 1, 1, 2, 1)):
+        w = Word(max(letters), letters)
+        with pytest.raises(DomainError, match="not a reduced word of the longest element"):
+            chains_from_wires(w)
 
 
 def test_poset_of_wiring_matches_word_poset(words_of_rank):

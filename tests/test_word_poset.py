@@ -5,9 +5,13 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gcwords.verify import _classes_by_3moves, braid_triples, projection_key
 from gcwords.word_poset import (
     WordPoset,
-    braid_triples,
+    _class_words,
+    _ideal_levels,
+    _poset_needs,
+    _word_needs,
     canonical_form,
     count_linear_extensions,
     enumerate_commutation_classes,
@@ -24,6 +28,7 @@ from gcwords.word_poset import (
 )
 from gcwords.words import (
     DomainError,
+    Word,
     apply_2move,
     legal_2moves,
     parse_word,
@@ -220,11 +225,18 @@ def test_class_counts(n, count, classes_of_rank):
 
 
 def test_classes_are_canonical_and_distinct(classes_of_rank):
-    for n in (2, 3, 4):
+    # the splice enumeration meets each class once: the 3-move search agrees
+    for n in (1, 2, 3, 4, 5):
         reps = classes_of_rank(n)
         assert len(set(reps)) == len(reps)
         for P in reps:
             assert canonical_form(P) == P
+        assert set(reps) == _classes_by_3moves(n)
+
+
+def test_class_words_rank6_are_distinct_classes():
+    keys = {projection_key(Word(6, letters)) for letters in _class_words(6)}
+    assert len(keys) == 24698
 
 
 def test_braid_triples_match_word_level_3moves(words_of_rank):
@@ -258,6 +270,18 @@ def test_canonical_form_idempotent_on_random_classes(n, choices):
     w = random_braid_walk(standard_word(n), choices)
     P = canonical_form(poset_of_word(w))
     assert canonical_form(P) == P
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=30),
+)
+def test_word_needs_walk_the_poset_ideals(n, choices):
+    w = random_braid_walk(standard_word(n), choices)
+    from_word = list(_ideal_levels(_word_needs(w.letters, n)))
+    from_poset = list(_ideal_levels(_poset_needs(poset_of_word(w))))
+    assert from_word == from_poset
 
 
 @st.composite
