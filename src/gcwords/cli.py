@@ -36,8 +36,11 @@ def _check_rank_budget(n: int, args, what: str):
 def _emit(text: str, args):
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -17,12 +17,11 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator
 
-from .indices import _checked_word, _contract, _stage, validate_delta
+from .indices import _contract, _stage, validate_delta
 from .word_poset import (
     WordPoset,
     canonical_form,
     count_linear_extensions,
-    lexmin_extension,
     poset_of_word,
     words_of_class,
 )
@@ -54,7 +53,7 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
-    return _classify_word(_checked_word(P, lexmin_extension(P)))
+    return _classify_word(P._checked_word)
 
 
 def _classify_word(w: Word) -> str | None:

@@ -3,16 +3,18 @@
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
-function reads one linear extension of its poset, checks that the poset is
-that word's poset, and then works on letters alone: the chains are the rows
-where wires 1 and n+1 cross, a chain's index counts the later rows that
-repeat the letter of a chain row, and a contraction drops the chain's rows
-and shifts one side down a column.  The direct search of the column chains
-is the oracle in `verify`.
+function reads the poset's one checked word, its lexmin word once the poset
+is checked to be that word's poset (cached on the poset, so one check per
+poset), and then works on letters alone: the chains are the rows where
+wires 1 and n+1 cross, a chain's index counts the later rows that repeat
+the letter of a chain row, and a contraction drops the chain's rows and
+shifts one side down a column.  The direct search of the column chains is
+the oracle in `verify`.
 
 An extension, the inverse of a contraction up to isomorphism, splices a
 fresh chain into a word that lists the chosen ideal first and shifts one
-side up; it labels the new poset along that word: the ideal in label order,
+side up.  The one extension walker of `word_poset` reads that word off the
+poset, and the new poset is labeled along it: the ideal in label order,
 then the new chain, then the rest in label order.  Iterating contractions
 along a letter sequence delta over {A, D} yields the delta-index vector.
 """
@@ -23,26 +25,12 @@ from itertools import product
 
 from .word_poset import (
     WordPoset,
-    _greedy_extension,
+    _extension,
     canonical_form,
-    lexmin_extension,
     poset_of_word,
-    word_of_extension,
 )
 from .wiring import chains_from_wires
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
-
-
-def _checked_word(P: WordPoset, extension: tuple[int, ...]) -> Word:
-    """The word of P along a linear extension, once P is checked to be that
-    word's poset: P's covers, relabeled by position in the extension, must
-    be the covers of poset_of_word.  From then on the word stands for P,
-    with row r for element extension[r-1]."""
-    w = word_of_extension(P, extension)
-    row = {k: r for r, k in enumerate(extension, start=1)}
-    if tuple(sorted((row[x], row[y]) for x, y in P.covers)) != poset_of_word(w).covers:
-        raise DomainError(f"poset is not the word poset of its word {w}")
-    return w
 
 
 def _stage(w: Word) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -86,9 +74,8 @@ def _contract(w: Word, rows: tuple[int, ...], kind: str) -> tuple[Word, list[int
 
 def _lexmin_stage(P: WordPoset) -> tuple[tuple[int, ...], Word, dict]:
     """The lexmin extension of P, its checked word and that word's stage."""
-    extension = lexmin_extension(P)
-    w = _checked_word(P, extension)
-    return extension, w, _stage(w)
+    w = P._checked_word
+    return P._lexmin, w, _stage(w)
 
 
 def _chain(P: WordPoset, kind: str) -> tuple[int, ...]:
@@ -175,16 +162,17 @@ def contract_A(P: WordPoset) -> WordPoset:
 def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:
     if not ideal <= frozenset(range(1, P.size + 1)):
         raise DomainError(f"{set(ideal)} is not a subset of the ground set")
-    # a linear extension listing the ideal first, each part in label order;
-    # the first part fails unless the ideal is downward closed
-    mask = sum(1 << (k - 1) for k in ideal)
-    inside = _greedy_extension(P, mask, 0, key=lambda k: k)
-    outside = _greedy_extension(P, ((1 << P.size) - 1) & ~mask, mask, key=lambda k: k)
-    w = _checked_word(P, tuple(inside + outside))
+    w = P._checked_word
     n = w.rank
     if perm_of_word(w) != longest_element(n + 1):
         raise DomainError(f"{w} is not a reduced word of the longest element")
-    lower, upper = w.letters[: len(inside)], w.letters[len(inside) :]
+    # the linear extension listing the ideal first, each part in label order;
+    # its prefix is the ideal exactly when the ideal is downward closed
+    extension = _extension(P, key=lambda k: (k not in ideal, k))
+    if frozenset(extension[: len(ideal)]) != ideal:
+        raise DomainError("subset is not an ideal of the poset")
+    letters = tuple(P.columns[k - 1] for k in extension)
+    lower, upper = letters[: len(ideal)], letters[len(ideal) :]
     return poset_of_word(Word(n + 1, _splice(lower, upper, n, kind)))
 
 
@@ -222,7 +210,7 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     (0, 0)
     """
     validate_delta(delta)
-    w = _checked_word(P, lexmin_extension(P))
+    w = P._checked_word
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
@@ -238,7 +226,7 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
 def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """All 2^(n-1) delta-indices, sharing each intermediate contraction
     across the deltas whose suffixes agree."""
-    return _word_profile(_checked_word(P, lexmin_extension(P)))
+    return _word_profile(P._checked_word)
 
 
 def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:

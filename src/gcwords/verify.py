@@ -20,7 +20,7 @@ from .gc import BudgetExceeded, classify_gc, default_budget, gc_direct, gc_recur
 from .indices import delta_index, full_profile, ind_D
 from .word_poset import (
     WordPoset,
-    _greedy_extension,
+    _extension,
     canonical_form,
     enumerate_commutation_classes,
     is_ideal,
@@ -151,13 +151,11 @@ def extension_through_triple(
 ) -> tuple[int, ...]:
     """A linear extension placing the triple consecutively."""
     x, y, z = triple
-    xyz = (1 << (x - 1)) | (1 << (y - 1)) | (1 << (z - 1))
-    head_pool = P._down_masks[z - 1] & ~xyz
-    head = _greedy_extension(P, head_pool, 0, key=lambda k: k)
-    placed = head_pool | xyz
-    tail_pool = ((1 << P.size) - 1) & ~placed
-    tail = _greedy_extension(P, tail_pool, placed, key=lambda k: k)
-    return tuple(head) + (x, y, z) + tuple(tail)
+    # the elements below z other than x and y, then the triple, then the rest
+    head = P._down_masks[z - 1] & ~((1 << (x - 1)) | (1 << (y - 1)))
+    return _extension(
+        P, key=lambda k: (0 if head >> (k - 1) & 1 else 1 if k in triple else 2, k)
+    )
 
 
 def class_3move_neighbors(P: WordPoset) -> list[WordPoset]:

@@ -6,7 +6,11 @@ commutation class.  Elements in one column always form a chain, which makes
 two things cheap: a forced canonical relabeling (by column, then height in
 the column) and ideal bookkeeping by per-column counts only.  One walker of
 the ideal lattice serves counting, listing ideals and the enumeration of
-commutation classes by word splices.
+commutation classes by word splices.  One extension walker, `_extension`,
+reads a single linear extension under a key; each poset caches its lexmin
+extension, from which its comparability masks and column chains follow,
+and one checked word: the lexmin word, once the poset is checked to be that
+word's poset, which the chain, index and contraction routes all read.
 
 Comparability is answered from bitmasks (one int per element), so the sizes
 handled here (l <= 36 at rank 8) cost nothing.
@@ -14,9 +18,9 @@ handled here (l <= 36 at rank 8) cost nothing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
 from .words import DomainError, Word, _splice, is_reduced, standard_word
@@ -71,26 +75,15 @@ class WordPoset:
         return tuple(tuple(sorted(d)) for d in downs)
 
     @cached_property
-    def _topo_order(self) -> tuple[int, ...]:
-        indegree = [len(self._lower_covers[k]) for k in range(self.size)]
-        ready = deque(k for k in range(1, self.size + 1) if indegree[k - 1] == 0)
-        order = []
-        while ready:
-            k = ready.popleft()
-            order.append(k)
-            for up in self._upper_covers[k - 1]:
-                indegree[up - 1] -= 1
-                if indegree[up - 1] == 0:
-                    ready.append(up)
-        if len(order) != self.size:
-            raise DomainError("covering relation contains a cycle")
-        return tuple(order)
+    def _lexmin(self) -> tuple[int, ...]:
+        # the one cached order: the linear extension with the least column word
+        return _extension(self, key=lambda k: (self.columns[k - 1], k))
 
     @cached_property
     def _up_masks(self) -> tuple[int, ...]:
         # up[k-1] has bit j-1 set iff k < j in the poset
         up = [0] * self.size
-        for k in reversed(self._topo_order):
+        for k in reversed(self._lexmin):
             mask = 0
             for j in self._upper_covers[k - 1]:
                 mask |= up[j - 1] | (1 << (j - 1))
@@ -100,12 +93,26 @@ class WordPoset:
     @cached_property
     def _down_masks(self) -> tuple[int, ...]:
         down = [0] * self.size
-        for k in self._topo_order:
+        for k in self._lexmin:
             mask = 0
             for j in self._lower_covers[k - 1]:
                 mask |= down[j - 1] | (1 << (j - 1))
             down[k - 1] = mask
         return tuple(down)
+
+    @cached_property
+    def _checked_word(self) -> Word:
+        """The lexmin word, once this poset is checked to be that word's
+        poset: its covers, relabeled by position in the lexmin extension,
+        must be the covers of poset_of_word.  From then on the word stands
+        for the poset, with row r for element _lexmin[r-1].  A failed check
+        raises and is not cached."""
+        extension = lexmin_extension(self)
+        w = word_of_extension(self, extension)
+        row = {k: r for r, k in enumerate(extension, start=1)}
+        if tuple(sorted((row[x], row[y]) for x, y in self.covers)) != poset_of_word(w).covers:
+            raise DomainError(f"poset is not the word poset of its word {w}")
+        return w
 
     def less(self, x: int, y: int) -> bool:
         """Strict order: x < y in the poset."""
@@ -123,12 +130,12 @@ class WordPoset:
     @cached_property
     def column_chains(self) -> dict[int, tuple[int, ...]]:
         """Elements of each column, bottom to top; raises unless chains."""
+        # a linear extension meets each column chain bottom to top
         groups: dict[int, list[int]] = {}
-        for k in range(1, self.size + 1):
+        for k in self._lexmin:
             groups.setdefault(self.columns[k - 1], []).append(k)
         chains = {}
         for col, members in sorted(groups.items()):
-            members.sort(key=lambda k: bin(self._down_masks[k - 1]).count("1"))
             for a, b in zip(members, members[1:]):
                 if not self.less(a, b):
                     raise DomainError(
@@ -323,30 +330,29 @@ def top_elements(P: WordPoset) -> tuple[int, ...]:
     return tuple(chains[col][-1] for col in range(1, P.rank + 1))
 
 
-def _greedy_extension(P: WordPoset, pool: int, placed: int, key) -> list[int]:
-    # repeatedly take the key-minimal addable element of the pool
-    down = P._down_masks
-    out = []
-    remaining = pool
-    while remaining:
-        best = None
-        for k in _bits(remaining):
-            if down[k - 1] & ~placed:
-                continue
-            if best is None or key(k) < key(best):
-                best = k
-        if best is None:
-            raise DomainError("subset is not an ideal of the poset")
-        out.append(best)
-        placed |= 1 << (best - 1)
-        remaining &= ~(1 << (best - 1))
-    return out
+def _extension(P: WordPoset, key) -> tuple[int, ...]:
+    """The linear extension that repeatedly takes the key-least element
+    whose lower covers are all placed: for a key that separates elements,
+    the least extension under key, compared element by element."""
+    waiting = [len(d) for d in P._lower_covers]
+    ready = [(key(k), k) for k in range(1, P.size + 1) if not waiting[k - 1]]
+    heapify(ready)
+    order = []
+    while ready:
+        k = heappop(ready)[1]
+        order.append(k)
+        for up in P._upper_covers[k - 1]:
+            waiting[up - 1] -= 1
+            if not waiting[up - 1]:
+                heappush(ready, (key(up), up))
+    if len(order) != P.size:
+        raise DomainError("covering relation contains a cycle")
+    return tuple(order)
 
 
 def lexmin_extension(P: WordPoset) -> tuple[int, ...]:
     """The linear extension whose column word is lexicographically least."""
-    full = (1 << P.size) - 1
-    return tuple(_greedy_extension(P, full, 0, key=lambda k: (P.columns[k - 1], k)))
+    return P._lexmin
 
 
 def lexmin_word(P: WordPoset) -> Word:
@@ -413,7 +419,7 @@ def render_dot(P: WordPoset, column_guides: bool = False) -> str:
     Optionally draws a dotted guide along each column.  Output is
     byte-stable for equal posets."""
     height = [0] * P.size
-    for k in P._topo_order:
+    for k in P._lexmin:
         below = P._lower_covers[k - 1]
         height[k - 1] = 1 + max((height[j - 1] for j in below), default=0)
     lines = ["digraph wordposet {", "  rankdir=BT;", "  node [shape=circle];"]

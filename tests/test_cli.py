@@ -112,6 +112,18 @@ def test_poset_out_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph wordposet {")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["poset", "1,2,1", "--dot"], ["wiring", "1,2,1", "--dot"], ["gc-poset", "AD"]],
+)
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_wiring_renders(capsys):
     code, out, _ = run(capsys, "wiring", "1,2,1")
     assert code == 0 and out.count("X") == 3
@@ -235,7 +247,8 @@ def test_bad_integers_exit_1_without_traceback(argv, env_extra):
 
 # A small grammar of command lines: every subcommand with well-formed and
 # malformed arguments, ranks and scales kept at 4 or less so each call is
-# quick, and junk tokens appended (none of which names an output file).
+# quick, and junk tokens appended.  The only output file named lies under a
+# directory that does not exist, so no call writes one.
 _VALID_WORDS = [
     str(w) for n in range(1, 5) for w in enumerate_reduced_words(longest_element(n + 1))
 ]
@@ -256,6 +269,7 @@ _perm = st.sampled_from(
     ["[1]", "[2,1]", "[3,2,1]", "[4,3,2,1]", "[5,4,3,2,1]", "[2,2]", "[0,1]", "[", "[]"]
 )
 _format = st.sampled_from(["plain", "json", "csv", "jsonl", "xml"])
+_missing_out = st.sampled_from([[], ["--out", str(Path(__file__).parent / "no-such-dir" / "out")]])
 _junk = st.sampled_from(
     ["", "-", "--", "--bogus", "x", "w0", "--dot", "--ascii", "--force", "-h", "0", "-1", "AD"]
 )
@@ -281,10 +295,12 @@ _commands = st.one_of(
         st.one_of(
             st.just([]), st.just(["--dot"]), st.tuples(st.just("--format"), _format).map(list)
         ),
+        _missing_out,
     ),
     st.tuples(
         st.just(["wiring"]), _word.map(lambda w: [w]),
         st.sampled_from([[], ["--ascii"], ["--dot"]]),
+        _missing_out,
     ),
     st.tuples(
         st.just(["index"]), _word.map(lambda w: [w]), _opt(st.just("--delta"), _delta),

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +29,7 @@ from gcwords.word_poset import (
     WordPoset,
     canonical_form,
     ideals,
+    is_ideal,
     is_isomorphic,
     poset_of_word,
     word_of_extension,
@@ -162,10 +163,17 @@ def test_extend_golden():
     )
 
 
-def test_extend_rejects_non_ideal():
+def test_extend_rejects_non_ideal(classes_of_rank):
     P = P_STANDARD
     with pytest.raises(DomainError, match="not an ideal"):
         extend_D(P, frozenset({2}))  # misses 1 below it
+    for n in (1, 2, 3):
+        for P in classes_of_rank(n):
+            for r in range(P.size + 1):
+                for subset in map(frozenset, combinations(range(1, P.size + 1), r)):
+                    if not is_ideal(P, subset):
+                        with pytest.raises(DomainError, match="not an ideal"):
+                            extend_D(P, subset)
 
 
 def test_extend_rejects_non_w0_poset():
@@ -188,8 +196,9 @@ def test_hand_built_non_word_poset_rejected():
         lambda: ind_A(Q),
         lambda: classify_gc(Q),
     ):
-        with pytest.raises(DomainError, match="not the word poset"):
-            call()
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(DomainError, match="not the word poset"):
+                call()
 
 
 def test_contraction_inverts_extension(classes_of_rank):
@@ -390,6 +399,17 @@ def test_delta_index_builds_one_poset(calls, delta):
     n = 5
     delta_index(poset_of_word(random_w0_word(n, random.Random(4))), delta)
     assert calls == {"lexmin_extension": 1, "poset_of_word": 1, "chains_from_wires": n - 1}
+
+
+def test_public_calls_share_one_entry_check(calls):
+    # the checked word is cached on the poset, so later calls skip the check
+    P = poset_of_word(random_w0_word(5, random.Random(5)))
+    classify_gc(P)
+    full_profile(P)
+    delta_index(P, "ADDA")
+    ind_A(P)
+    ascending_chain(P)
+    assert calls["lexmin_extension"] == calls["poset_of_word"] == 1
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])

@@ -1,5 +1,6 @@
-"""Package-wide rules: invariants are real checks, not asserts, and the
-doctests pass with asserts compiled out."""
+"""Package-wide rules: invariants are real checks, not asserts, the
+doctests pass with asserts compiled out, and the oracles in `verify` stay
+off the production path."""
 
 import ast
 import os
@@ -21,6 +22,27 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert MODULES and offenders == []
+
+
+def _imports_verify(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("gcwords.verify") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module in ("verify", "gcwords.verify"):
+            return True
+        if node.module in (None, "gcwords"):
+            return any(alias.name == "verify" for alias in node.names)
+    return False
+
+
+def test_only_the_cli_imports_verify():
+    importers = {
+        path.stem
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _imports_verify(node)
+    }
+    assert importers == {"cli"}
 
 
 DOCTEST_SCRIPT = """

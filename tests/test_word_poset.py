@@ -9,6 +9,7 @@ from gcwords.verify import _classes_by_3moves, braid_triples, projection_key
 from gcwords.word_poset import (
     WordPoset,
     _class_words,
+    _extension,
     _ideal_levels,
     _poset_needs,
     _word_needs,
@@ -203,6 +204,19 @@ def test_ideals_unique_per_counts(classes_of_rank):
             assert len(by_dp) <= prod(
                 len(chain) + 1 for chain in P.column_chains.values()
             )
+
+
+def test_extension_walker_is_the_least_extension(classes_of_rank):
+    # the heap walk against brute force: for every class at ranks 1-4 and
+    # every ideal of it, the least of all linear extensions under each key
+    for n in (1, 2, 3, 4):
+        for P in classes_of_rank(n):
+            extensions = list(linear_extensions(P))
+            keys = [lambda k: k, lambda k, P=P: (P.columns[k - 1], k)]
+            keys += [lambda k, I=I: (k not in I, k) for I in ideals(P)]
+            for key in keys:
+                least = min(extensions, key=lambda e: [key(k) for k in e])
+                assert _extension(P, key) == least
 
 
 def test_top_elements():
