@@ -47,8 +47,21 @@ class Word:
                     f"letter {letter} at position {pos} out of range 1..{self.rank}"
                 )
 
+    @classmethod
+    def _unchecked(cls, rank: int, letters: tuple[int, ...], text: str) -> Word:
+        # For callers whose letters lie in 1..rank by construction: skips
+        # the range check and keeps `text`, the comma format of `letters`,
+        # as the word's str().
+        w = object.__new__(cls)
+        fields = w.__dict__
+        fields["rank"] = rank
+        fields["letters"] = letters
+        fields["_text"] = text
+        return w
+
     def __str__(self) -> str:
-        return ",".join(str(letter) for letter in self.letters)
+        text = self.__dict__.get("_text")
+        return ",".join(map(str, self.letters)) if text is None else text
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -245,6 +258,9 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
     a left descent when pos[i] > pos[i + 1], and peeling s_i swaps the two
     entries (swapped back on backtracking).  pending[d] holds the descents
     not yet tried at depth d, largest first, so pop() takes them in order.
+    Next to the letter buffer, prefix[d] is the text of the first d letters,
+    each followed by a comma, so each word's str() is one concatenation made
+    at its leaf.
 
     >>> [str(w) for w in enumerate_reduced_words((3, 2, 1))]
     ['1,2,1', '2,1,2']
@@ -260,19 +276,24 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
     for place, value in enumerate(p):
         pos[value] = place
     letters_down = range(len(p) - 1, 0, -1)
+    names = [str(i) for i in range(len(p))]
+    with_comma = [name + "," for name in names]
     letters = [0] * length
+    prefix = [""] * length
     last = length - 1
     pending = [[i for i in letters_down if pos[i] > pos[i + 1]]]
     depth = 0
+    unchecked = Word._unchecked
     while True:
         todo = pending[depth]
         if todo:
             i = todo.pop()
             letters[depth] = i
             if depth == last:
-                yield Word(rank, tuple(letters))
+                yield unchecked(rank, tuple(letters), prefix[depth] + names[i])
             else:
                 pos[i], pos[i + 1] = pos[i + 1], pos[i]
+                prefix[depth + 1] = prefix[depth] + with_comma[i]
                 depth += 1
                 pending.append([j for j in letters_down if pos[j] > pos[j + 1]])
         elif depth:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -67,6 +69,24 @@ def test_words_w0(capsys):
 def test_words_explicit_perm(capsys):
     code, out, _ = run(capsys, "words", "[3,2,1]")
     assert out.splitlines() == ["1,2,1", "2,1,2"]
+
+
+def test_words_w0_5_golden():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["words", "w0", "5"]) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "00583ebb7e9772e943347485c786b2412793b5bd4a9c386f078a941a5ffaa9b4"
+
+
+def test_words_text_is_the_word_route_for_all_of_s1_to_s5(capsys):
+    for m in range(1, 6):
+        for p in itertools.permutations(range(1, m + 1)):
+            target = "[" + ",".join(map(str, p)) + "]"
+            code, out, err = run(capsys, "words", target)
+            assert (code, err) == (0, "")
+            assert out == "".join(f"{w}\n" for w in enumerate_reduced_words(p)), target
+    assert run(capsys, "words", "[1]")[:2] == (0, "\n")
 
 
 def test_classes(capsys):
@@ -244,6 +264,42 @@ def test_bad_integers_exit_1_without_traceback(argv, env_extra):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+
+def test_words_into_a_closed_pipe_exits_1_without_traceback():
+    # Rank 5 prints about 9 MB, far more than a pipe buffers, so the
+    # program is still writing when the reader closes its end.
+    src = str(Path(gcwords.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gcwords.cli", "words", "w0", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == "error: broken pipe\n"
+
+
+
+class _ClosedPipe:
+    # A stdout stand-in with no file descriptor whose reader has gone.
+    def write(self, text):
+        raise BrokenPipeError
+
+
+class _ClosedStringPipe(io.StringIO):
+    # Its fileno() raises io.UnsupportedOperation.
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("stand_in", [_ClosedPipe, _ClosedStringPipe])
+def test_closed_pipe_in_process_exits_1(stand_in, capsys):
+    with redirect_stdout(stand_in()):
+        code = main(["words", "w0", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: broken pipe\n"
 
 # A small grammar of command lines: every subcommand with well-formed and
 # malformed arguments, ranks and scales kept at 4 or less so each call is

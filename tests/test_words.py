@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import islice, permutations
 
 import pytest
@@ -121,6 +122,18 @@ def test_enumeration_is_every_reduced_word_in_order(m):
     for p in permutations(range(1, m + 1)):
         assert check_word_stream(p, enumerate_reduced_words(p)) == count_reduced_words(p)
 
+
+
+def test_enumerated_words_equal_checked_words():
+    # The loop builds its words unchecked, each with its text already made;
+    # they must not differ from words built by the checked constructor.
+    for m in range(6):
+        for p in permutations(range(1, m + 1)):
+            for w in enumerate_reduced_words(p):
+                plain = Word(w.rank, w.letters)
+                assert (w, hash(w), repr(w), str(w)) == (plain, hash(plain), repr(plain), str(plain))
+                moved = replace(w, letters=w.letters[::-1])
+                assert str(moved) == ",".join(map(str, w.letters[::-1]))
 
 @settings(deadline=None, max_examples=40)
 @given(p=st.permutations(range(1, 8)))
