@@ -26,6 +26,7 @@ from .words import (
 from .word_poset import (
     WordPoset,
     canonical_form,
+    count_commutation_classes,
     count_linear_extensions,
     enumerate_commutation_classes,
     ideal_from_counts,

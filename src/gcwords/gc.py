@@ -20,9 +20,8 @@ from typing import Iterator
 from .indices import _contract, _stage, validate_delta
 from .word_poset import (
     WordPoset,
-    canonical_form,
+    _canonical_poset_of_word,
     count_linear_extensions,
-    poset_of_word,
     words_of_class,
 )
 from .words import DomainError, Word, _splice
@@ -89,7 +88,7 @@ def gc_poset_of_delta(delta: str) -> WordPoset:
     letters: tuple[int, ...] = (1,)
     for rank, kind in enumerate(delta, 1):
         letters = _splice(letters, (), rank, kind)
-    return canonical_form(poset_of_word(Word(len(delta) + 1, letters)))
+    return _canonical_poset_of_word(letters)
 
 
 def validate_strict(mu) -> tuple[int, ...]:

@@ -20,8 +20,10 @@ from .gc import BudgetExceeded, classify_gc, default_budget, gc_direct, gc_recur
 from .indices import delta_index, full_profile, ind_D
 from .word_poset import (
     WordPoset,
+    _covers_from_below,
     _extension,
     canonical_form,
+    count_commutation_classes,
     enumerate_commutation_classes,
     is_ideal,
     lexmin_word,
@@ -34,6 +36,7 @@ from .words import (
     apply_2move,
     apply_3move,
     enumerate_reduced_words,
+    is_reduced,
     legal_2moves,
     legal_3moves,
     longest_element,
@@ -105,6 +108,21 @@ def check_tits_connectivity(n: int = 4) -> Report:
         return False, {"unreached": str(missing), "reached": len(seen)}
 
     return _run("tits_connectivity", {"n": n}, body)
+
+
+def _poset_of_word_by_definition(w: Word) -> WordPoset:
+    """The word poset oracle, straight from the definition: each position's
+    down-set is the union over every earlier position whose letter differs
+    by one, and the covers are the transitive reduction.  O(l^2)."""
+    if not is_reduced(w):
+        raise DomainError(f"word {w} is not reduced")
+    letters = w.letters
+    below = [0] * len(letters)
+    for k, target in enumerate(letters):
+        for j in range(k):
+            if abs(letters[j] - target) == 1:
+                below[k] |= below[j] | (1 << j)
+    return WordPoset(tuple(letters), tuple(_covers_from_below(below)))
 
 
 def _two_move_components(words: list[Word]) -> dict[Word, int]:
@@ -184,11 +202,12 @@ def _classes_by_3moves(n: int) -> set[WordPoset]:
 
 
 def check_class_poset_equivalence(n: int = 4) -> Report:
-    """Partitioning the words by 2-move reachability agrees with partitioning
+    """Every word's poset equals the one built from the definition,
+    partitioning the words by 2-move reachability agrees with partitioning
     by canonical word-poset form, the class count matches the reference
-    sequence, and the splice enumeration yields each class once: its set of
-    canonical posets is that of the 2-move components and that of the 3-move
-    search."""
+    sequence and the count of `count_commutation_classes`, and the splice
+    enumeration yields each class once: its set of canonical posets is that
+    of the 2-move components and that of the 3-move search."""
 
     def body():
         words = _all_words(n)
@@ -196,7 +215,10 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
         comp_to_key: dict[int, object] = {}
         key_to_comp: dict[object, int] = {}
         for w in words:
-            key = canonical_form(poset_of_word(w))
+            P = poset_of_word(w)
+            if P != _poset_of_word_by_definition(w):
+                return False, {"word": str(w), "reason": "poset differs from the definition"}
+            key = canonical_form(P)
             comp = component[w]
             if comp_to_key.setdefault(comp, key) != key:
                 return False, {"word": str(w), "reason": "class splits posets"}
@@ -211,6 +233,9 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
             if P in enumerated:
                 return False, {"word": str(lexmin_word(P)), "reason": "class enumerated twice"}
             enumerated.add(P)
+        counted = count_commutation_classes(n)
+        if counted != len(enumerated):
+            return False, {"classes": len(enumerated), "counted": counted}
         for route, found in (
             ("2-move components", set(key_to_comp)),
             ("3-move search", _classes_by_3moves(n)),

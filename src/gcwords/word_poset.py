@@ -3,9 +3,13 @@
 The poset of a reduced word relates two positions when their letters differ
 by one; linear extensions of the poset read back exactly the words of the
 commutation class.  Elements in one column always form a chain, which makes
-two things cheap: a forced canonical relabeling (by column, then height in
-the column) and ideal bookkeeping by per-column counts only.  One walker of
-the ideal lattice serves counting, listing ideals and the enumeration of
+three things cheap.  A word's poset takes O(l) steps: each position's
+covers are among the latest occurrences of the two neighbouring letters.
+The canonical relabeling (by column, then height in the column) is forced,
+and for a word it is read off the letters: the j-th occurrence of c.  And
+an ideal is fixed by its per-column counts, which one int packs, one field
+per column.  One walker of the ideal lattice, on such keys, serves
+counting linear extensions, listing ideals, and enumerating and counting
 commutation classes by word splices.  One extension walker, `_extension`,
 reads a single linear extension under a key; each poset caches its lexmin
 extension, from which its comparability masks and column chains follow,
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
@@ -168,6 +172,28 @@ def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
     return covers
 
 
+def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int, int]]:
+    # Covers of the word poset of a reduced word, naming position k (from 1)
+    # label[k].  The occurrences of one letter form a chain, so everything
+    # below position k (letter c) lies below the latest c-1 or the latest
+    # c+1 before it, and those two are its covers, less one lying below the
+    # other.  reach[p] has bit q set for each position q at or below p;
+    # position 0 stands for "none", and no reach holds its bit.
+    reach = [0] * (len(letters) + 1)
+    last = [0] * (max(letters, default=0) + 2)
+    covers = []
+    for k, c in enumerate(letters, start=1):
+        a, b = last[c - 1], last[c + 1]
+        ra, rb = reach[a], reach[b]
+        if a and not rb >> a & 1:
+            covers.append((label[a], label[k]))
+        if b and not ra >> b & 1:
+            covers.append((label[b], label[k]))
+        reach[k] = ra | rb | 1 << k
+        last[c] = k
+    return covers
+
+
 def poset_of_word(w: Word) -> WordPoset:
     """The word poset of a reduced word: position j precedes position k when
     j < k and the letters at j, k differ by one.
@@ -178,16 +204,25 @@ def poset_of_word(w: Word) -> WordPoset:
     if not is_reduced(w):
         raise DomainError(f"word {w} is not reduced")
     letters = w.letters
-    size = len(letters)
-    below = [0] * size
-    for k in range(size):
-        mask = 0
-        target = letters[k]
-        for j in range(k):
-            if abs(letters[j] - target) == 1:
-                mask |= below[j] | (1 << j)
-        below[k] = mask
-    return WordPoset(tuple(letters), tuple(_covers_from_below(below)))
+    return WordPoset(tuple(letters), tuple(_word_covers(letters, range(len(letters) + 1))))
+
+
+def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
+    # canonical_form(poset_of_word(w)) for a reduced word w, read off its
+    # letters: the column chain of c lists the occurrences of c in word
+    # order, so the j-th occurrence of c is element offset(c) + j, where
+    # offset(c) counts the letters below c.
+    counts = [0] * (max(letters, default=0) + 1)
+    for c in letters:
+        counts[c] += 1
+    offset = [0] * len(counts)
+    for c in range(1, len(counts) - 1):
+        offset[c + 1] = offset[c] + counts[c]
+    label = [0]
+    for c in letters:
+        offset[c] += 1
+        label.append(offset[c])
+    return WordPoset(tuple(sorted(letters)), tuple(_word_covers(letters, label)))
 
 
 def canonical_form(P: WordPoset) -> WordPoset:
@@ -230,31 +265,58 @@ def linear_extensions(P: WordPoset) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
+def _ideal_fields(needs: Sequence[Sequence]) -> tuple[int, list[int]]:
+    # The packed key's layout: one field per column, wide enough for the
+    # longest column, column 0 the most significant, so that int order is
+    # the lexicographic order of the per-column counts.  Returns the field
+    # width and each column's shift.
+    width = max(map(len, needs), default=0).bit_length()
+    return width, [width * ci for ci in reversed(range(len(needs)))]
+
+
+def _ideal_counts(needs: Sequence[Sequence]) -> Callable[[int], tuple[int, ...]]:
+    # the decoder of the walker's keys on this table: key -> per-column counts
+    width, shifts = _ideal_fields(needs)
+    mask = (1 << width) - 1
+    return lambda key: tuple(key >> shift & mask for shift in shifts)
+
+
 def _ideal_levels(
     needs: Sequence[Sequence[Sequence[tuple[int, int]]]],
-) -> Iterator[dict[tuple[int, ...], int]]:
+) -> Iterator[dict[int, int]]:
     """The lattice of order ideals, one level per ideal size, smallest
-    first.  A level maps each ideal, keyed by its per-column counts in
-    ascending column order, to the number of ways to build it one element at
-    a time (its linear extensions).  The key is lossless because an ideal
-    meets each column chain in a prefix.
+    first.  A level maps each ideal to the number of ways to build it one
+    element at a time (its linear extensions).  An ideal meets each column
+    chain in a prefix, so its per-column counts determine it; its key packs
+    them into one int, laid out by `_ideal_fields`.
 
     needs[ci][h] lists pairs (cj, m): the element at height h+1 of column
     ci is addable once column cj holds at least m elements.  len(needs[ci])
     is the length of column ci."""
-    ncols = len(needs)
-    level: dict[tuple[int, ...], int] = {(0,) * ncols: 1}
+    width, shifts = _ideal_fields(needs)
+    mask = (1 << width) - 1
+    # per column: its field's shift, the step that adds its next element,
+    # and for each count h the needs of element h+1 as (shift, m) pairs,
+    # then None once the column is full
+    columns = [
+        (shift, 1 << shift, [[(shifts[cj], m) for cj, m in row] for row in rows] + [None])
+        for shift, rows in zip(shifts, needs)
+    ]
+    level = {0: 1}
     while level:
         yield level
-        nxt: dict[tuple[int, ...], int] = {}
-        for counts, ways in level.items():
-            for ci in range(ncols):
-                taken = counts[ci]
-                if taken == len(needs[ci]):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, ways in level.items():
+            for shift, step, rows in columns:
+                row = rows[key >> shift & mask]
+                if row is None:
                     continue
-                if all(counts[rj] >= rh for rj, rh in needs[ci][taken]):
-                    key = counts[:ci] + (taken + 1,) + counts[ci + 1 :]
-                    nxt[key] = nxt.get(key, 0) + ways
+                for rshift, m in row:
+                    if key >> rshift & mask < m:
+                        break
+                else:
+                    nxt[key + step] = get(key + step, 0) + ways
         level = nxt
 
 
@@ -293,9 +355,11 @@ def count_linear_extensions(P: WordPoset) -> int:
 def ideals(P: WordPoset) -> Iterator[frozenset]:
     """All order ideals, smallest first, deterministically ordered."""
     chains = [P.column_chains[col] for col in sorted(P.column_chains)]
-    for level in _ideal_levels(_poset_needs(P)):
-        for counts in sorted(level):
-            yield frozenset(k for chain, c in zip(chains, counts) for k in chain[:c])
+    needs = _poset_needs(P)
+    counts_of = _ideal_counts(needs)
+    for level in _ideal_levels(needs):
+        for key in sorted(level):
+            yield frozenset(k for chain, c in zip(chains, counts_of(key)) for k in chain[:c])
 
 
 def ideal_from_counts(P: WordPoset, counts: Sequence[int]) -> frozenset:
@@ -387,8 +451,11 @@ def _class_words(n: int) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     for v in _class_words(n - 1):
-        for level in _ideal_levels(_word_needs(v, n - 1)):
-            for counts in level:
+        needs = _word_needs(v, n - 1)
+        counts_of = _ideal_counts(needs)
+        for level in _ideal_levels(needs):
+            for key in level:
+                counts = counts_of(key)
                 seen = [0] * (n + 1)
                 lower, upper = [], []
                 for c in v:
@@ -410,7 +477,25 @@ def enumerate_commutation_classes(n: int) -> Iterator[WordPoset]:
     if n < 1:
         raise DomainError(f"rank must be positive, got {n}")
     for letters in _class_words(n):
-        yield canonical_form(poset_of_word(Word(n, letters)))
+        yield _canonical_poset_of_word(letters)
+
+
+def count_commutation_classes(n: int) -> int:
+    """The number of commutation classes of the longest element at rank n
+    (OEIS A006245), without building a class: the rank-n classes biject
+    with the pairs (rank-(n-1) class, order ideal of it), so this sums the
+    ideal counts of the classes one rank down.
+
+    >>> count_commutation_classes(4)
+    62
+    """
+    if n < 1:
+        raise DomainError(f"rank must be positive, got {n}")
+    return sum(
+        len(level)
+        for v in _class_words(n - 1)
+        for level in _ideal_levels(_word_needs(v, n - 1))
+    )
 
 
 def render_dot(P: WordPoset, column_guides: bool = False) -> str:

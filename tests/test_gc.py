@@ -134,6 +134,22 @@ def test_direct_golden_small():
     assert [gc_direct(n) for n in range(6)] == [1, 1, 2, 6, 40, 916]
 
 
+def test_gc_direct_builds_and_counts_each_gc_poset(monkeypatch):
+    # gc_direct reaches both layers through the gc module's names, once per
+    # delta: the benchmark times each layer by wrapping those names
+    import gcwords.gc as gc
+
+    calls = {"gc_poset_of_delta": 0, "count_linear_extensions": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(gc, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(gc, name, counted)
+    assert gc.gc_direct(6) == GC_TABLE[6]
+    assert calls == {"gc_poset_of_delta": 32, "count_linear_extensions": 32}
+
+
 def test_direct_equals_recurrence(classes_of_rank):
     for n in range(7):
         assert gc_direct(n) == gc_recurrence(n)

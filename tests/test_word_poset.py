@@ -1,19 +1,27 @@
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwords.verify import _classes_by_3moves, braid_triples, projection_key
+from gcwords.gc import gc_poset_of_delta
+from gcwords.verify import (
+    _classes_by_3moves,
+    _poset_of_word_by_definition,
+    braid_triples,
+    projection_key,
+)
 from gcwords.word_poset import (
     WordPoset,
+    _canonical_poset_of_word,
     _class_words,
     _extension,
     _ideal_levels,
     _poset_needs,
     _word_needs,
     canonical_form,
+    count_commutation_classes,
     count_linear_extensions,
     enumerate_commutation_classes,
     ideal_from_counts,
@@ -31,6 +39,8 @@ from gcwords.words import (
     DomainError,
     Word,
     apply_2move,
+    enumerate_reduced_words,
+    is_reduced,
     legal_2moves,
     parse_word,
     standard_word,
@@ -62,6 +72,54 @@ def test_poset_singleton():
 def test_poset_rejects_non_reduced():
     with pytest.raises(DomainError, match="not reduced"):
         poset_of_word(parse_word("1,1"))
+
+
+def test_poset_of_word_matches_definition_on_all_small_words():
+    # every reduced word of every permutation of S_1..S_5, not only of w0
+    words = [
+        w
+        for m in range(1, 6)
+        for p in permutations(range(1, m + 1))
+        for w in enumerate_reduced_words(p)
+    ]
+    assert len(words) == 3137
+    for w in words:
+        assert poset_of_word(w) == _poset_of_word_by_definition(w)
+
+
+def _poset_or_error(route, w):
+    try:
+        return route(w)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    rank=st.integers(min_value=1, max_value=6),
+    picks=st.lists(st.integers(min_value=0, max_value=5), max_size=16),
+)
+def test_poset_of_word_matches_definition_on_letter_sequences(rank, picks):
+    # reduced or not: the same poset, or the same DomainError.  Most long
+    # sequences are not reduced, so their longest reduced prefix is tried too.
+    letters = tuple(1 + pick % rank for pick in picks)
+    reduced = max(k for k in range(len(letters) + 1) if is_reduced(Word(rank, letters[:k])))
+    for w in (Word(rank, letters), Word(rank, letters[:reduced])):
+        assert _poset_or_error(poset_of_word, w) == _poset_or_error(
+            _poset_of_word_by_definition, w
+        )
+
+
+def test_canonical_poset_of_word_is_the_canonical_form(classes_of_rank):
+    for n in (1, 2, 3, 4, 5):
+        for P in classes_of_rank(n):
+            w = lexmin_word(P)
+            assert _canonical_poset_of_word(w.letters) == canonical_form(poset_of_word(w))
+    for n in range(1, 9):
+        for kinds in product("AD", repeat=n - 1):
+            P = gc_poset_of_delta("".join(kinds))
+            w = lexmin_word(P)
+            assert _canonical_poset_of_word(w.letters) == canonical_form(poset_of_word(w)) == P
 
 
 def test_invalid_covers_rejected():
@@ -115,6 +173,19 @@ def test_linear_extension_counts():
     assert count_linear_extensions(poset_of_word(OTHER3)) == 4
     chain = WordPoset((1, 2, 3, 4, 5), tuple((i, i + 1) for i in range(1, 5)))
     assert count_linear_extensions(chain) == 1
+
+
+def test_long_columns_widen_the_packed_key():
+    # a count of 70 needs a 7-bit field: one column chain of 70 elements...
+    levels = list(_ideal_levels([[[] for _ in range(70)]]))
+    assert [len(level) for level in levels] == [1] * 71
+    assert levels[-1] == {70: 1}
+    # ...and a zigzag chain whose two columns hold 70 and 69 elements
+    size = 139
+    chain = WordPoset((1, 2) * 69 + (1,), tuple((i, i + 1) for i in range(1, size)))
+    assert count_linear_extensions(chain) == 1
+    assert [len(I) for I in ideals(chain)] == list(range(size + 1))
+    assert list(ideals(chain))[-1] == frozenset(range(1, size + 1))
 
 
 def test_linear_extensions_stream_matches_count(classes_of_rank):
@@ -181,26 +252,28 @@ def test_ideal_from_counts():
 
 def test_ideals_unique_per_counts(classes_of_rank):
     # per-column sizes determine an ideal; cross-check against the
-    # brute-force enumeration of downward-closed subsets
-    for n in (2, 3, 4):
+    # brute-force enumeration of downward-closed subsets, in the walker's
+    # order: by size, then by per-column counts
+    for n in (1, 2, 3, 4):
         for P in classes_of_rank(n):
-            by_dp = set(ideals(P))
+            by_dp = list(ideals(P))
+
+            def counts(ideal):
+                return tuple(
+                    sum(1 for k in ideal if P.columns[k - 1] == col)
+                    for col in sorted(P.column_chains)
+                )
+
             elements = list(range(1, P.size + 1))
-            brute = {
+            brute = [
                 frozenset(sub)
                 for r in range(P.size + 1)
                 for sub in combinations(elements, r)
                 if is_ideal(P, frozenset(sub))
-            }
+            ]
+            brute.sort(key=lambda ideal: (len(ideal), counts(ideal)))
             assert by_dp == brute
-            counts_seen = set()
-            for ideal in by_dp:
-                counts = tuple(
-                    sum(1 for k in ideal if P.columns[k - 1] == col)
-                    for col in sorted(P.column_chains)
-                )
-                assert counts not in counts_seen
-                counts_seen.add(counts)
+            assert len({counts(ideal) for ideal in by_dp}) == len(by_dp)
             assert len(by_dp) <= prod(
                 len(chain) + 1 for chain in P.column_chains.values()
             )
@@ -246,6 +319,17 @@ def test_classes_are_canonical_and_distinct(classes_of_rank):
         for P in reps:
             assert canonical_form(P) == P
         assert set(reps) == _classes_by_3moves(n)
+
+
+def test_count_commutation_classes_oeis():
+    # OEIS A006245, shifted by one
+    counts = [count_commutation_classes(n) for n in range(1, 7)]
+    assert counts == [1, 2, 8, 62, 908, 24698]
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="rank must be positive"):
+            count_commutation_classes(n)
+        with pytest.raises(DomainError, match="rank must be positive"):
+            next(enumerate_commutation_classes(n))
 
 
 def test_class_words_rank6_are_distinct_classes():
