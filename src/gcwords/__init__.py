@@ -10,10 +10,7 @@ from .words import (
     Word,
     apply_2move,
     apply_3move,
-    count_reduced_words,
     enumerate_reduced_words,
-    flip_word,
-    identity,
     inversion_count,
     is_reduced,
     longest_element,
@@ -29,18 +26,13 @@ from .word_poset import (
     count_commutation_classes,
     count_linear_extensions,
     enumerate_commutation_classes,
-    ideal_from_counts,
     is_isomorphic,
     lexmin_word,
-    linear_extensions,
     poset_of_word,
-    top_elements,
-    words_of_class,
 )
 from .wiring import (
     WiringDiagram,
     chains_from_wires,
-    poset_of_wiring,
     wiring_of_word,
 )
 from .indices import (
@@ -60,14 +52,10 @@ from .indices import (
 from .gc import (
     BudgetExceeded,
     classify_gc,
-    enumerate_gc_words,
     gc_direct,
     gc_poset_of_delta,
     gc_recurrence,
-    gc_split,
     gc_table,
-    shifted_poset,
-    syt_count_oracle,
     thrall_g,
 )
 

@@ -108,8 +108,7 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _cmd_poset(args) -> int:
-    P = word_poset.poset_of_word(words.parse_word(args.word))
+def _emit_poset(P: word_poset.WordPoset, args) -> int:
     if args.dot:
         _emit(word_poset.render_dot(P), args)
     elif args.format == "json":
@@ -117,6 +116,10 @@ def _cmd_poset(args) -> int:
     else:
         _emit(_poset_plain(P), args)
     return 0
+
+
+def _cmd_poset(args) -> int:
+    return _emit_poset(word_poset.poset_of_word(words.parse_word(args.word)), args)
 
 
 def _cmd_wiring(args) -> int:
@@ -156,14 +159,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gc_poset(args) -> int:
-    P = gc.gc_poset_of_delta(args.delta)
-    if args.dot:
-        _emit(word_poset.render_dot(P), args)
-    elif args.format == "json":
-        _emit(_poset_json(P), args)
-    else:
-        _emit(_poset_plain(P), args)
-    return 0
+    return _emit_poset(gc.gc_poset_of_delta(args.delta), args)
 
 
 def _cmd_gc_table(args) -> int:

@@ -15,14 +15,13 @@ import os
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-from typing import Iterator
 
 from .indices import _contract, _stage, validate_delta
 from .word_poset import (
     WordPoset,
     _canonical_poset_of_word,
     count_linear_extensions,
-    words_of_class,
+    enumerate_commutation_classes,
 )
 from .words import DomainError, Word, _splice
 
@@ -133,53 +132,6 @@ def thrall_g(mu) -> int:
     return count
 
 
-def shifted_poset(mu) -> WordPoset:
-    """The poset of the shifted diagram of mu under componentwise order,
-    with cell (i, j) in column j-i+1 (the diagonals, so covering moves are
-    one column apart and each diagonal is a chain)."""
-    mu = validate_strict(mu)
-    cells = [
-        (i, j)
-        for i in range(1, len(mu) + 1)
-        for j in range(i, mu[i - 1] + i)
-    ]
-    label = {cell: k for k, cell in enumerate(cells, start=1)}
-    columns = tuple(j - i + 1 for i, j in cells)
-    covers = []
-    for (i, j), k in label.items():
-        if (i, j + 1) in label:
-            covers.append((k, label[(i, j + 1)]))
-        if (i + 1, j) in label:
-            covers.append((k, label[(i + 1, j)]))
-    return WordPoset(columns, tuple(covers))
-
-
-def syt_count_oracle(mu) -> int:
-    """Shifted tableau count by linear-extension enumeration of the diagram
-    poset; independent of the product formula.
-
-    >>> syt_count_oracle((4, 3, 2, 1))
-    12
-    """
-    return count_linear_extensions(shifted_poset(mu))
-
-
-def strict_partitions(total: int) -> Iterator[tuple[int, ...]]:
-    """All strict partitions of total, largest part first, lexicographically
-    decreasing."""
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part - 1, prefix + (part,))
-
-    if total < 0:
-        raise DomainError("total must be nonnegative")
-    yield from rec(total, total, ())
-
-
 @lru_cache(maxsize=None)
 def gc_recurrence(n: int) -> int:
     """gc(n) by the recurrence over the length of the staircase strip added
@@ -217,51 +169,11 @@ def gc_direct(n: int) -> int:
     )
 
 
-def enumerate_gc_words(n: int, budget: int | None = None) -> Iterator[Word]:
-    """All GC-type reduced words, emitted class by class through the linear
-    extensions of the 2^(n-1) canonical posets (never by filtering).
-
-    Refuses n beyond the brute-force budget; pass budget=n to override.
-    """
-    if budget is None:
-        budget = default_budget()
-    if n > budget:
-        raise BudgetExceeded(
-            f"enumerating gc words at rank {n} exceeds the budget {budget}"
-        )
-    if n < 1:
-        raise DomainError("rank must be positive")
-    for letters in product("AD", repeat=n - 1):
-        yield from words_of_class(gc_poset_of_delta("".join(letters)))
-
-
-def gc_split(n: int) -> tuple[int, int]:
-    """Extension counts split by which index vanishes at the top rank:
-    (sum over classes with ind_A = 0, sum over classes with ind_D = 0).
-
-    >>> gc_split(3)
-    (3, 3)
-    """
-    if n < 2:
-        raise DomainError("the split needs rank >= 2")
-    a_total = 0
-    d_total = 0
-    for letters in product("AD", repeat=n - 1):
-        count = count_linear_extensions(gc_poset_of_delta("".join(letters)))
-        if letters[-1] == "A":
-            a_total += count
-        else:
-            d_total += count
-    return a_total, d_total
-
-
 def gc_table(n_max: int, class_budget: int | None = None) -> list[dict]:
     """Rows {n, gc_recurrence, gc_direct, classes_gc, classes_total} for
     0 <= n <= n_max.  The class columns come from enumerating commutation
     classes and classifying each, so they are filled only up to the budget.
     """
-    from .word_poset import enumerate_commutation_classes
-
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     if class_budget is None:

@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .word_poset import (
-    WordPoset,
-    _extension,
-    canonical_form,
-    poset_of_word,
-)
+from .word_poset import WordPoset, _extension, poset_of_word
 from .wiring import chains_from_wires
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
 
@@ -70,6 +65,14 @@ def _contract(w: Word, rows: tuple[int, ...], kind: str) -> tuple[Word, list[int
             f"not a word of the longest element"
         )
     return contracted, kept
+
+
+def _ranked(w: Word, what: str) -> Word:
+    # the one guard of the routes that contract or need a delta: rank 0 has
+    # no chain to remove
+    if w.rank < 1:
+        raise DomainError(f"{what} needs rank >= 1")
+    return w
 
 
 def _lexmin_stage(P: WordPoset) -> tuple[tuple[int, ...], Word, dict]:
@@ -132,7 +135,7 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
     extension, w, stage = _lexmin_stage(P)
-    contracted, kept = _contract(w, stage[kind][0], kind)
+    contracted, kept = _contract(_ranked(w, "a contraction"), stage[kind][0], kind)
     relabel = {extension[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
@@ -210,7 +213,7 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     (0, 0)
     """
     validate_delta(delta)
-    w = P._checked_word
+    w = _ranked(P._checked_word, "a delta-index")
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
@@ -231,9 +234,7 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
 
 def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:
     # full_profile of the class of w; any word of the class gives the same
-    n = w.rank
-    if n < 1:
-        raise DomainError("a delta-profile needs rank >= 1")
+    n = _ranked(w, "a delta-profile").rank
     pairs: dict[str, tuple[int, int]] = {}
 
     def descend(v: Word, suffix: str):
@@ -252,15 +253,6 @@ def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:
             for k in range(1, n)
         )
     return profile
-
-
-def column_flip(P: WordPoset) -> WordPoset:
-    """Relabel column i as rank+1-i.  Exchanges the ascending and descending
-    chains, hence the two indices."""
-    n = P.rank
-    return canonical_form(
-        WordPoset(tuple(n + 1 - col for col in P.columns), P.covers)
-    )
 
 
 def format_index_vector(vec: tuple[int, ...]) -> str:

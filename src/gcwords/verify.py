@@ -5,6 +5,14 @@ independent route, and returns a machine-readable report; a failing report
 always carries words in the exact comma format so it can be replayed from
 the command line.  The verdict payload is deterministic; elapsed_ms is the
 only field that varies between runs.
+
+The slow independent routes live here, off the production modules: the
+count of reduced words by descents, the stream of all linear extensions
+(and with it the words of a class and the GC words), the list of all
+ideals, the word poset from its definition and from a wiring diagram, the
+shifted-diagram poset behind the tableau-count oracle, the column-chain
+search and the 3-move class search.  Of the package's modules only the CLI
+imports this one.
 """
 
 from __future__ import annotations
@@ -13,29 +21,57 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
-from .gc import BudgetExceeded, classify_gc, default_budget, gc_direct, gc_recurrence
-from .indices import delta_index, full_profile, ind_D
+from .gc import (
+    BudgetExceeded,
+    classify_gc,
+    default_budget,
+    gc_direct,
+    gc_poset_of_delta,
+    gc_recurrence,
+    validate_strict,
+)
+from .indices import (
+    ascending_chain,
+    contract_A_with_map,
+    contract_D_with_map,
+    contraction_ideal_A,
+    contraction_ideal_D,
+    delta_index,
+    descending_chain,
+    extend_A,
+    extend_D,
+    full_profile,
+    ind_D,
+)
+from .wiring import WiringDiagram
 from .word_poset import (
     WordPoset,
-    _covers_from_below,
     _extension,
+    _ideal_counts,
+    _ideal_levels,
+    _poset_needs,
     canonical_form,
     count_commutation_classes,
+    count_linear_extensions,
     enumerate_commutation_classes,
     is_ideal,
+    is_isomorphic,
     lexmin_word,
     poset_of_word,
     word_of_extension,
 )
 from .words import (
     DomainError,
+    Perm,
     Word,
     apply_2move,
     apply_3move,
     enumerate_reduced_words,
+    is_permutation,
     is_reduced,
     legal_2moves,
     legal_3moves,
@@ -82,6 +118,192 @@ def _run(check: str, params: dict, body: Callable) -> Report:
 
 def _all_words(n: int) -> list[Word]:
     return list(enumerate_reduced_words(longest_element(n + 1)))
+
+
+def _left_descents(p: Perm) -> Iterator[int]:
+    # i is a left descent iff i+1 precedes i in one-line notation, i.e. the
+    # word may start with the letter i.
+    position = {value: index for index, value in enumerate(p)}
+    for i in range(1, len(p)):
+        if position[i] > position[i + 1]:
+            yield i
+
+
+def _swap_values(p: Perm, i: int) -> Perm:
+    q = list(p)
+    a, b = q.index(i), q.index(i + 1)
+    q[a], q[b] = q[b], q[a]
+    return tuple(q)
+
+
+@lru_cache(maxsize=None)
+def _count_reduced_words(p: Perm) -> int:
+    descents = list(_left_descents(p))
+    if not descents:
+        return 1
+    return sum(_count_reduced_words(_swap_values(p, i)) for i in descents)
+
+
+def count_reduced_words(p: Perm) -> int:
+    """|R(p)| without materializing the words: the word-count oracle of
+    `enumerate_reduced_words`.
+
+    >>> count_reduced_words((4, 3, 2, 1))
+    16
+    """
+    if not is_permutation(p):
+        raise DomainError(f"{p} is not a permutation")
+    return _count_reduced_words(p)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    out = []
+    k = 1
+    while mask:
+        if mask & 1:
+            out.append(k)
+        mask >>= 1
+        k += 1
+    return tuple(out)
+
+
+def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
+    """Covers of the order given by strict-downset bitmasks."""
+    covers = []
+    for y, mask in enumerate(below, start=1):
+        # x is covered by y unless it lies below something else below y
+        inner = 0
+        for m in _bits(mask):
+            inner |= below[m - 1]
+        covers.extend((x, y) for x in _bits(mask & ~inner))
+    return covers
+
+
+def _down_masks(P: WordPoset) -> tuple[int, ...]:
+    """down[k-1] has bit j-1 set iff j < k in the poset."""
+    down = [0] * P.size
+    for k in P._lexmin:
+        mask = 0
+        for j in P._lower_covers[k - 1]:
+            mask |= down[j - 1] | (1 << (j - 1))
+        down[k - 1] = mask
+    return tuple(down)
+
+
+def linear_extensions(P: WordPoset) -> Iterator[tuple[int, ...]]:
+    """All linear extensions, in lexicographic order on element labels."""
+    size = P.size
+    down = _down_masks(P)
+    full = (1 << size) - 1
+    prefix: list[int] = []
+
+    def rec(placed: int) -> Iterator[tuple[int, ...]]:
+        if placed == full:
+            yield tuple(prefix)
+            return
+        for k in range(1, size + 1):
+            bit = 1 << (k - 1)
+            if placed & bit or (down[k - 1] & ~placed):
+                continue
+            prefix.append(k)
+            yield from rec(placed | bit)
+            prefix.pop()
+
+    return rec(0)
+
+
+def words_of_class(P: WordPoset) -> Iterator[Word]:
+    """Every word of the commutation class of P, once each (the extensions
+    biject with the words)."""
+    for extension in linear_extensions(P):
+        yield word_of_extension(P, extension)
+
+
+def enumerate_gc_words(n: int, budget: int | None = None) -> Iterator[Word]:
+    """All GC-type reduced words, emitted class by class through the linear
+    extensions of the 2^(n-1) canonical posets (never by filtering).
+
+    Refuses n beyond the brute-force budget; pass budget=n to override.
+    """
+    if budget is None:
+        budget = default_budget()
+    if n > budget:
+        raise BudgetExceeded(
+            f"enumerating gc words at rank {n} exceeds the budget {budget}"
+        )
+    if n < 1:
+        raise DomainError("rank must be positive")
+    for letters in product("AD", repeat=n - 1):
+        yield from words_of_class(gc_poset_of_delta("".join(letters)))
+
+
+def ideals(P: WordPoset) -> Iterator[frozenset]:
+    """All order ideals, smallest first, deterministically ordered."""
+    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
+    needs = _poset_needs(P)
+    counts_of = _ideal_counts(needs)
+    for level in _ideal_levels(needs):
+        for key in sorted(level):
+            yield frozenset(k for chain, c in zip(chains, counts_of(key)) for k in chain[:c])
+
+
+def poset_of_wiring(diagram: WiringDiagram) -> WordPoset:
+    """Order the crossings by downward paths: a crossing precedes every later
+    crossing on either of its wires, transitively.  For the diagram of a
+    reduced word this is the word poset (elements = rows)."""
+    below = [0] * len(diagram.rows)
+    steps = sorted((b, a) for rows in diagram.wires for a, b in zip(rows, rows[1:]))
+    # by later row first: a crossing's down-set is complete before it is used
+    for row, above in steps:
+        below[row - 1] |= below[above - 1] | (1 << (above - 1))
+    return WordPoset(diagram.rows, tuple(_covers_from_below(below)))
+
+
+def shifted_poset(mu) -> WordPoset:
+    """The poset of the shifted diagram of mu under componentwise order,
+    with cell (i, j) in column j-i+1 (the diagonals, so covering moves are
+    one column apart and each diagonal is a chain)."""
+    mu = validate_strict(mu)
+    cells = [
+        (i, j)
+        for i in range(1, len(mu) + 1)
+        for j in range(i, mu[i - 1] + i)
+    ]
+    label = {cell: k for k, cell in enumerate(cells, start=1)}
+    columns = tuple(j - i + 1 for i, j in cells)
+    covers = []
+    for (i, j), k in label.items():
+        if (i, j + 1) in label:
+            covers.append((k, label[(i, j + 1)]))
+        if (i + 1, j) in label:
+            covers.append((k, label[(i + 1, j)]))
+    return WordPoset(columns, tuple(covers))
+
+
+def syt_count_oracle(mu) -> int:
+    """Shifted tableau count by linear-extension enumeration of the diagram
+    poset; independent of the product formula.
+
+    >>> syt_count_oracle((4, 3, 2, 1))
+    12
+    """
+    return count_linear_extensions(shifted_poset(mu))
+
+
+def strict_partitions(total: int) -> Iterator[tuple[int, ...]]:
+    """All strict partitions of total, largest part first, lexicographically
+    decreasing."""
+
+    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - part, part - 1, prefix + (part,))
+
+    if total < 0:
+        raise DomainError("total must be nonnegative")
+    yield from rec(total, total, ())
 
 
 def check_tits_connectivity(n: int = 4) -> Report:
@@ -147,11 +369,12 @@ def _two_move_components(words: list[Word]) -> dict[Word, int]:
     return component
 
 
-def braid_triples(P: WordPoset) -> list[tuple[int, int, int]]:
+def braid_triples(P: WordPoset, down: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """Triples x < y < z with equal end columns, adjacent middle column and
     open interval (x, z) = {y}: exactly the sites where some word of the
-    class admits a 3-move with these three positions adjacent."""
-    up, down = P._up_masks, P._down_masks
+    class admits a 3-move with these three positions adjacent.  `down` is
+    _down_masks(P)."""
+    up = P._up_masks
     triples = []
     for y in range(1, P.size + 1):
         for x in P._lower_covers[y - 1]:
@@ -165,12 +388,13 @@ def braid_triples(P: WordPoset) -> list[tuple[int, int, int]]:
 
 
 def extension_through_triple(
-    P: WordPoset, triple: tuple[int, int, int]
+    P: WordPoset, triple: tuple[int, int, int], down: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """A linear extension placing the triple consecutively."""
+    """A linear extension placing the triple consecutively; `down` is
+    _down_masks(P)."""
     x, y, z = triple
     # the elements below z other than x and y, then the triple, then the rest
-    head = P._down_masks[z - 1] & ~((1 << (x - 1)) | (1 << (y - 1)))
+    head = down[z - 1] & ~((1 << (x - 1)) | (1 << (y - 1)))
     return _extension(
         P, key=lambda k: (0 if head >> (k - 1) & 1 else 1 if k in triple else 2, k)
     )
@@ -179,8 +403,9 @@ def extension_through_triple(
 def class_3move_neighbors(P: WordPoset) -> list[WordPoset]:
     """Canonical posets of the classes one 3-move away, in triple order."""
     neighbors = []
-    for triple in braid_triples(P):
-        extension = extension_through_triple(P, triple)
+    down = _down_masks(P)
+    for triple in braid_triples(P, down):
+        extension = extension_through_triple(P, triple, down)
         w = word_of_extension(P, extension)
         moved = apply_3move(w, extension.index(triple[0]) + 1)
         neighbors.append(canonical_form(poset_of_word(moved)))
@@ -326,18 +551,6 @@ def check_contraction_laws(n: int = 4) -> Report:
     element, the elements below each chain form an ideal, removing a chain
     and re-extending over its ideal reproduces the class, and the chains
     restrict to the chains of the contraction."""
-    from .indices import (
-        ascending_chain,
-        contract_A_with_map,
-        contract_D_with_map,
-        contraction_ideal_A,
-        contraction_ideal_D,
-        descending_chain,
-        extend_A,
-        extend_D,
-    )
-    from .word_poset import is_isomorphic
-
     def body():
         for P in enumerate_commutation_classes(n):
             rep = str(lexmin_word(P))
@@ -402,8 +615,9 @@ def count_gc_words_brute(n: int) -> int:
 
 def check_table1(n_max: int = 8, brute_max: int = 5) -> Report:
     """gc(n) by recurrence and by direct linear-extension sums equals the
-    reference table; additionally the word-by-word filter agrees at small
-    rank."""
+    reference table; additionally, up to brute_max, so do the word-by-word
+    filter and the count of words enumerated through the linear extensions
+    of the canonical GC posets."""
     if n_max >= len(GC_TABLE):
         raise DomainError(f"no reference values beyond n = {len(GC_TABLE) - 1}")
 
@@ -421,6 +635,13 @@ def check_table1(n_max: int = 8, brute_max: int = 5) -> Report:
                 brute = count_gc_words_brute(n)
                 if brute != GC_TABLE[n]:
                     return False, {"n": n, "brute": str(brute), "table": str(GC_TABLE[n])}
+                enumerated = sum(1 for _ in enumerate_gc_words(n, budget=n))
+                if enumerated != GC_TABLE[n]:
+                    return False, {
+                        "n": n,
+                        "enumerated": str(enumerated),
+                        "table": str(GC_TABLE[n]),
+                    }
         return True, None
 
     return _run("table1", {"n_max": n_max, "brute_max": brute_max}, body)

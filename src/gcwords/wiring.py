@@ -4,8 +4,10 @@ Rows are numbered 1..l from the top.  Row j carries the single crossing of
 the diagram in column i_j, swapping the wires at positions i_j, i_j+1.  For
 a reduced word of the longest element, wire j ends at point n+2-j, any two
 wires cross exactly once, and the crossings met by wire 1 (resp. wire n+1)
-read the letters 1..n (resp. n..1); those two rows of crossings are an
-independent route to the ascending and descending chains of the word poset.
+read the letters 1..n (resp. n..1); those two rows of crossings are the
+production route to the ascending and descending chains of the word poset.
+The order on crossings by paths along the wires, which rebuilds the whole
+word poset from a diagram, is an oracle in `verify`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .word_poset import WordPoset, _covers_from_below
 from .words import DomainError, Word, longest_element, perm_of_word
 
 
@@ -38,20 +39,6 @@ class WiringDiagram:
             met[v - 1].append(row)
             arrangement[col - 1], arrangement[col] = v, u
         return tuple(tuple(rows) for rows in met)
-
-    @cached_property
-    def end_points(self) -> tuple[int, ...]:
-        """end_points[j-1] = ending point of wire j."""
-        arrangement = list(range(1, self.n + 2))
-        for col in self.rows:
-            arrangement[col - 1], arrangement[col] = (
-                arrangement[col],
-                arrangement[col - 1],
-            )
-        ends = [0] * (self.n + 1)
-        for position, wire in enumerate(arrangement, start=1):
-            ends[wire - 1] = position
-        return tuple(ends)
 
 
 def wiring_of_word(w: Word) -> WiringDiagram:
@@ -80,18 +67,6 @@ def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if spelled != tuple(range(1, n + 1)) + tuple(range(n, 0, -1)):
         raise RuntimeError(f"internal error: wires 1 and {n + 1} of {w} misread as {spelled}")
     return a_rows, d_rows
-
-
-def poset_of_wiring(diagram: WiringDiagram) -> WordPoset:
-    """Order the crossings by downward paths: a crossing precedes every later
-    crossing on either of its wires, transitively.  For the diagram of a
-    reduced word this is the word poset (elements = rows)."""
-    below = [0] * len(diagram.rows)
-    steps = sorted((b, a) for rows in diagram.wires for a, b in zip(rows, rows[1:]))
-    # by later row first: a crossing's down-set is complete before it is used
-    for row, above in steps:
-        below[row - 1] |= below[above - 1] | (1 << (above - 1))
-    return WordPoset(diagram.rows, tuple(_covers_from_below(below)))
 
 
 def render_ascii(diagram: WiringDiagram) -> str:

@@ -9,15 +9,17 @@ The canonical relabeling (by column, then height in the column) is forced,
 and for a word it is read off the letters: the j-th occurrence of c.  And
 an ideal is fixed by its per-column counts, which one int packs, one field
 per column.  One walker of the ideal lattice, on such keys, serves
-counting linear extensions, listing ideals, and enumerating and counting
-commutation classes by word splices.  One extension walker, `_extension`,
-reads a single linear extension under a key; each poset caches its lexmin
-extension, from which its comparability masks and column chains follow,
-and one checked word: the lexmin word, once the poset is checked to be that
-word's poset, which the chain, index and contraction routes all read.
+counting linear extensions and enumerating and counting commutation
+classes by word splices.  One extension walker, `_extension`, reads a
+single linear extension under a key; each poset caches its lexmin
+extension, from which its up-set masks and column chains follow, and one
+checked word: the lexmin word, once the poset is checked to be that word's
+poset, which the chain, index and contraction routes all read.
 
-Comparability is answered from bitmasks (one int per element), so the sizes
-handled here (l <= 36 at rank 8) cost nothing.
+The strict order `less` is answered from the up-set bitmasks (one int per
+element), so the sizes handled here (l <= 36 at rank 8) cost nothing.
+Down-set masks, the stream of all linear extensions and the list of all
+ideals serve only the oracles, and live in `verify`.
 """
 
 from __future__ import annotations
@@ -95,16 +97,6 @@ class WordPoset:
         return tuple(up)
 
     @cached_property
-    def _down_masks(self) -> tuple[int, ...]:
-        down = [0] * self.size
-        for k in self._lexmin:
-            mask = 0
-            for j in self._lower_covers[k - 1]:
-                mask |= down[j - 1] | (1 << (j - 1))
-            down[k - 1] = mask
-        return tuple(down)
-
-    @cached_property
     def _checked_word(self) -> Word:
         """The lexmin word, once this poset is checked to be that word's
         poset: its covers, relabeled by position in the lexmin extension,
@@ -122,15 +114,6 @@ class WordPoset:
         """Strict order: x < y in the poset."""
         return bool(self._up_masks[x - 1] >> (y - 1) & 1)
 
-    def comparable(self, x: int, y: int) -> bool:
-        return x == y or self.less(x, y) or self.less(y, x)
-
-    def elements_above(self, k: int) -> tuple[int, ...]:
-        return _bits(self._up_masks[k - 1])
-
-    def elements_below(self, k: int) -> tuple[int, ...]:
-        return _bits(self._down_masks[k - 1])
-
     @cached_property
     def column_chains(self) -> dict[int, tuple[int, ...]]:
         """Elements of each column, bottom to top; raises unless chains."""
@@ -147,29 +130,6 @@ class WordPoset:
                     )
             chains[col] = tuple(members)
         return chains
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    k = 1
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return tuple(out)
-
-
-def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
-    """Covers of the order given by strict-downset bitmasks."""
-    covers = []
-    for y, mask in enumerate(below, start=1):
-        # x is covered by y unless it lies below something else below y
-        inner = 0
-        for m in _bits(mask):
-            inner |= below[m - 1]
-        covers.extend((x, y) for x in _bits(mask & ~inner))
-    return covers
 
 
 def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int, int]]:
@@ -241,28 +201,6 @@ def canonical_form(P: WordPoset) -> WordPoset:
 def is_isomorphic(P: WordPoset, Q: WordPoset) -> bool:
     """Column-preserving poset isomorphism, decided via canonical forms."""
     return canonical_form(P) == canonical_form(Q)
-
-
-def linear_extensions(P: WordPoset) -> Iterator[tuple[int, ...]]:
-    """All linear extensions, in lexicographic order on element labels."""
-    size = P.size
-    down = P._down_masks
-    full = (1 << size) - 1
-    prefix: list[int] = []
-
-    def rec(placed: int) -> Iterator[tuple[int, ...]]:
-        if placed == full:
-            yield tuple(prefix)
-            return
-        for k in range(1, size + 1):
-            bit = 1 << (k - 1)
-            if placed & bit or (down[k - 1] & ~placed):
-                continue
-            prefix.append(k)
-            yield from rec(placed | bit)
-            prefix.pop()
-
-    return rec(0)
 
 
 def _ideal_fields(needs: Sequence[Sequence]) -> tuple[int, list[int]]:
@@ -352,46 +290,8 @@ def count_linear_extensions(P: WordPoset) -> int:
     return total
 
 
-def ideals(P: WordPoset) -> Iterator[frozenset]:
-    """All order ideals, smallest first, deterministically ordered."""
-    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
-    needs = _poset_needs(P)
-    counts_of = _ideal_counts(needs)
-    for level in _ideal_levels(needs):
-        for key in sorted(level):
-            yield frozenset(k for chain, c in zip(chains, counts_of(key)) for k in chain[:c])
-
-
-def ideal_from_counts(P: WordPoset, counts: Sequence[int]) -> frozenset:
-    """The unique ideal holding counts[i-1] elements in column i, or an error
-    naming a violated cover if those column prefixes are not downward closed.
-    """
-    cols = sorted(P.column_chains)
-    if len(counts) != len(cols):
-        raise DomainError(f"expected {len(cols)} column counts, got {len(counts)}")
-    members: set[int] = set()
-    for col, want in zip(cols, counts):
-        chain = P.column_chains[col]
-        if not 0 <= want <= len(chain):
-            raise DomainError(f"column {col} holds {len(chain)} elements, not {want}")
-        members.update(chain[:want])
-    for x, y in P.covers:
-        if y in members and x not in members:
-            raise DomainError(f"not an ideal: cover {x}<{y} violated")
-    return frozenset(members)
-
-
 def is_ideal(P: WordPoset, members: frozenset) -> bool:
     return all(x in members for x, y in P.covers if y in members)
-
-
-def top_elements(P: WordPoset) -> tuple[int, ...]:
-    """The largest element of each column, listed for columns 1..rank."""
-    chains = P.column_chains
-    missing = [col for col in range(1, P.rank + 1) if col not in chains]
-    if missing:
-        raise DomainError(f"no elements in columns {missing}")
-    return tuple(chains[col][-1] for col in range(1, P.rank + 1))
 
 
 def _extension(P: WordPoset, key) -> tuple[int, ...]:
@@ -431,13 +331,6 @@ def lexmin_word(P: WordPoset) -> Word:
 def word_of_extension(P: WordPoset, extension: Sequence[int]) -> Word:
     """Read off column labels along a linear extension."""
     return Word(P.rank, tuple(P.columns[k - 1] for k in extension))
-
-
-def words_of_class(P: WordPoset) -> Iterator[Word]:
-    """Every word of the commutation class of P, once each (the extensions
-    biject with the words)."""
-    for extension in linear_extensions(P):
-        yield word_of_extension(P, extension)
 
 
 def _class_words(n: int) -> Iterator[tuple[int, ...]]:

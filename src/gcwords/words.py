@@ -16,7 +16,6 @@ the product is built by left-multiplying value swaps, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -87,10 +86,6 @@ def parse_word(text: str, rank: int | None = None) -> Word:
     except ValueError:
         raise DomainError(f"malformed word string {text!r}") from None
     return word(letters, rank)
-
-
-def identity(m: int) -> Perm:
-    return tuple(range(1, m + 1))
 
 
 def longest_element(m: int) -> Perm:
@@ -165,11 +160,6 @@ def standard_word(n: int) -> Word:
     return Word(n, tuple(letters))
 
 
-def flip_word(w: Word) -> Word:
-    """The letter-flip involution i -> rank+1-i, applied letterwise."""
-    return Word(w.rank, tuple(w.rank + 1 - letter for letter in w.letters))
-
-
 def apply_2move(w: Word, pos: int) -> Word:
     """Swap the commuting letters at 1-based positions pos, pos+1.
 
@@ -233,22 +223,6 @@ def legal_3moves(w: Word) -> list[int]:
     ]
 
 
-def _left_descents(p: Perm) -> Iterator[int]:
-    # i is a left descent iff i+1 precedes i in one-line notation, i.e. the
-    # word may start with the letter i.
-    position = {value: index for index, value in enumerate(p)}
-    for i in range(1, len(p)):
-        if position[i] > position[i + 1]:
-            yield i
-
-
-def _swap_values(p: Perm, i: int) -> Perm:
-    q = list(p)
-    a, b = q.index(i), q.index(i + 1)
-    q[a], q[b] = q[b], q[a]
-    return tuple(q)
-
-
 def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
     """Every reduced word of p exactly once, in lexicographic order.
 
@@ -304,21 +278,3 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
         else:
             return
 
-
-@lru_cache(maxsize=None)
-def _count_reduced_words(p: Perm) -> int:
-    descents = list(_left_descents(p))
-    if not descents:
-        return 1
-    return sum(_count_reduced_words(_swap_values(p, i)) for i in descents)
-
-
-def count_reduced_words(p: Perm) -> int:
-    """|R(p)| without materializing the words.
-
-    >>> count_reduced_words((4, 3, 2, 1))
-    16
-    """
-    if not is_permutation(p):
-        raise DomainError(f"{p} is not a permutation")
-    return _count_reduced_words(p)

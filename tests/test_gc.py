@@ -6,25 +6,25 @@ from hypothesis import given, settings, strategies as st
 from gcwords.gc import (
     BudgetExceeded,
     classify_gc,
-    enumerate_gc_words,
     gc_direct,
     gc_poset_of_delta,
     gc_recurrence,
-    gc_split,
     gc_table,
     parse_partition,
-    shifted_poset,
-    strict_partitions,
-    syt_count_oracle,
     thrall_g,
 )
 from gcwords.indices import extend_A, extend_D, ind_A, ind_D
+from gcwords.verify import (
+    enumerate_gc_words,
+    shifted_poset,
+    strict_partitions,
+    syt_count_oracle,
+)
 from gcwords.word_poset import (
     WordPoset,
     count_linear_extensions,
     is_isomorphic,
     poset_of_word,
-    top_elements,
 )
 from gcwords.words import DomainError, is_reduced, parse_word
 
@@ -177,11 +177,20 @@ def test_enumerate_gc_words_budget():
     assert sum(1 for _ in enumerate_gc_words(6, budget=6)) == 102176
 
 
+def _split(n):
+    # the GC word count at rank n >= 2 split by which index vanishes at the
+    # top rank, i.e. by the last letter of delta: (A, D)
+    totals = {"A": 0, "D": 0}
+    for letters in product("AD", repeat=n - 1):
+        totals[letters[-1]] += count_linear_extensions(gc_poset_of_delta("".join(letters)))
+    return totals["A"], totals["D"]
+
+
 def test_gc_split():
-    assert gc_split(2) == (1, 1)
-    assert gc_split(3) == (3, 3)
+    assert _split(2) == (1, 1)
+    assert _split(3) == (3, 3)
     for n in range(2, 7):
-        a, d = gc_split(n)
+        a, d = _split(n)
         assert a == d
         assert a + d == gc_recurrence(n)
 
@@ -194,7 +203,7 @@ def test_split_recurrence():
             return (0, 0)
         if n == 1:
             return (1, 1)
-        return gc_split(n)
+        return _split(n)
 
     for n in range(2, 7):
         a_n, d_n = split(n)
@@ -249,7 +258,8 @@ def test_stagewise_chain_attachment():
                     Pk1.covers
                 )
                 cross = {(x, y) for x, y in Pk1.covers if (x <= s) != (y <= s)}
-                tops = top_elements(Pk)
+                # the largest element of each column, columns 1..k
+                tops = tuple(chain[-1] for _, chain in sorted(Pk.column_chains.items()))
                 here, prev = delta[k - 1], delta[k - 2] if k >= 2 else None
                 if prev is None:
                     expected = {(1, s + 1)}
@@ -270,9 +280,10 @@ def _plain_isomorphic(P, Q) -> bool:
         return False
 
     def signature(R, k):
+        elements = range(1, R.size + 1)
         return (
-            len(R.elements_below(k)),
-            len(R.elements_above(k)),
+            sum(R.less(j, k) for j in elements),
+            sum(R.less(k, j) for j in elements),
             len(R._lower_covers[k - 1]),
             len(R._upper_covers[k - 1]),
         )
@@ -281,7 +292,8 @@ def _plain_isomorphic(P, Q) -> bool:
     q_by_sig = {}
     for k in range(1, Q.size + 1):
         q_by_sig.setdefault(signature(Q, k), []).append(k)
-    order = sorted(range(1, P.size + 1), key=lambda k: len(P.elements_below(k)))
+    # by the number of elements below
+    order = sorted(range(1, P.size + 1), key=lambda k: p_sigs[k][0])
     assignment = {}
     used = set()
 

@@ -9,7 +9,6 @@ from gcwords import gc, indices, wiring, word_poset
 from gcwords.gc import classify_gc
 from gcwords.indices import (
     ascending_chain,
-    column_flip,
     contract_A,
     contract_A_with_map,
     contract_D,
@@ -28,13 +27,13 @@ from gcwords.indices import (
 from gcwords.word_poset import (
     WordPoset,
     canonical_form,
-    ideals,
     is_ideal,
     is_isomorphic,
+    lexmin_word,
     poset_of_word,
     word_of_extension,
 )
-from gcwords.verify import _unique_chain
+from gcwords.verify import _unique_chain, ideals
 from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
@@ -150,7 +149,8 @@ def test_contract_severs_relations_through_the_chain():
     # restricting the order of P would keep a spurious relation here
     P = poset_of_word(parse_word("3,2,1,2,3,4,3,2,3,1"))
     Q, relabel = contract_A_with_map(P)
-    assert not Q.comparable(relabel[2], relabel[7])
+    x, y = relabel[2], relabel[7]
+    assert not Q.less(x, y) and not Q.less(y, x)
 
 
 def test_extend_golden():
@@ -293,13 +293,35 @@ def test_profiles_constant_on_classes_and_distinct(words_of_rank):
         assert len(set(profiles)) == len(profiles)
 
 
+def _flipped(w):
+    return Word(w.rank, tuple(w.rank + 1 - i for i in w.letters))
+
+
 def test_column_flip_swaps_indices(classes_of_rank):
+    # the letter flip i -> n+1-i exchanges wires 1 and n+1, hence the two
+    # chains and the two indices; flipping twice gives the class back
     for n in (2, 3, 4):
         for P in classes_of_rank(n):
-            F = column_flip(P)
+            F = poset_of_word(_flipped(lexmin_word(P)))
             assert ind_A(F) == ind_D(P)
             assert ind_D(F) == ind_A(P)
-            assert column_flip(F) == canonical_form(P)
+            assert canonical_form(poset_of_word(_flipped(lexmin_word(F)))) == P
+
+
+def test_rank_zero_routes_raise_one_domain_error():
+    # the empty poset, the class of the empty word, has no chain to
+    # contract and no delta
+    empty = WordPoset((), ())
+    for what, call in (
+        ("a delta-index", lambda: delta_index(empty, "")),
+        ("a contraction", lambda: contract_D(empty)),
+        ("a contraction", lambda: contract_A(empty)),
+        ("a contraction", lambda: contract_D_with_map(empty)),
+        ("a contraction", lambda: contract_A_with_map(empty)),
+        ("a delta-profile", lambda: full_profile(empty)),
+    ):
+        with pytest.raises(DomainError, match=f"^{what} needs rank >= 1$"):
+            call()
 
 
 def test_at_most_one_zero_index(classes_of_rank):
@@ -341,7 +363,8 @@ def random_extension(P, rng):
         ready = [
             k
             for k in range(1, P.size + 1)
-            if k not in order and set(P.elements_below(k)) <= set(order)
+            if k not in order
+            and all(j in order for j in range(1, P.size + 1) if P.less(j, k))
         ]
         order.append(rng.choice(ready))
     return tuple(order)

@@ -1,6 +1,7 @@
 """Package-wide rules: invariants are real checks, not asserts, the
-doctests pass with asserts compiled out, and the oracles in `verify` stay
-off the production path."""
+doctests pass with asserts compiled out, the oracles in `verify` stay off
+the production path, and every public name of a production module has a
+caller."""
 
 import ast
 import os
@@ -43,6 +44,47 @@ def test_only_the_cli_imports_verify():
         if _imports_verify(node)
     }
     assert importers == {"cli"}
+
+
+PRODUCTION = ("words", "word_poset", "wiring", "indices", "gc")
+CALLERS = [PACKAGE / f"{stem}.py" for stem in PRODUCTION + ("cli", "verify")]
+CALLERS.append(PACKAGE.parent.parent / "bench" / "workloads.py")
+
+
+def _public_definitions(tree):
+    """(qualified name, node) per public top-level function or class and
+    per public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{node.name}.{method.name}", method
+
+
+def test_every_public_name_has_a_caller():
+    # A public name of a production module is referenced, as a name or an
+    # attribute, outside its own body: by a production module, the CLI,
+    # a verify check or oracle, or a benchmark workload.  Docstrings and the
+    # package's re-exports do not count; an oracle that only tests call
+    # belongs in verify.
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in CALLERS}
+    references: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(node)
+    uncalled = []
+    for stem in PRODUCTION:
+        for qualname, definition in _public_definitions(trees[PACKAGE / f"{stem}.py"]):
+            inside = {id(node) for node in ast.walk(definition)}
+            name = qualname.rpartition(".")[2]
+            if all(id(node) in inside for node in references.get(name, ())):
+                uncalled.append(f"{stem}.{qualname}")
+    assert uncalled == []
 
 
 DOCTEST_SCRIPT = """

@@ -54,6 +54,22 @@ def test_table1_small():
     assert report.params == {"n_max": 4, "brute_max": 3}
 
 
+def test_table1_fails_when_the_gc_word_enumeration_drops_a_word(monkeypatch):
+    from gcwords import verify
+
+    enumerate_gc_words = verify.enumerate_gc_words
+
+    def drop_first(n, budget=None):
+        words = enumerate_gc_words(n, budget)
+        next(words)
+        return words
+
+    monkeypatch.setattr(verify, "enumerate_gc_words", drop_first)
+    report = check_table1(n_max=4, brute_max=3)
+    assert not report.passed
+    assert report.counterexample == {"n": 1, "enumerated": "0", "table": "1"}
+
+
 def test_table1_rejects_unknown_rank():
     with pytest.raises(DomainError):
         check_table1(n_max=9)
