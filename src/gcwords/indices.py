@@ -11,6 +11,13 @@ the letter of a chain row, and a contraction drops the chain's rows and
 shifts one side down a column.  The direct search of the column chains is
 the oracle in `verify`.
 
+A contraction deletes one pseudoline of the wiring diagram, wire 1 for A
+and wire n+1 for D, and deletions commute: contracting by D then A gives
+the same word as by A then D.  So the stage reached after a A- and d
+D-contractions does not depend on their order, and the full profile reads
+a triangle of n(n-1)/2 stages where the suffix tree of the 2^(n-1) deltas
+has 2^(n-1) - 1; that tree is the profile oracle in `verify`.
+
 An extension, the inverse of a contraction up to isomorphism, splices a
 fresh chain into a word that lists the chosen ideal first and shifts one
 side up.  The one extension walker of `word_poset` reads that word off the
@@ -20,8 +27,6 @@ along a letter sequence delta over {A, D} yields the delta-index vector.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .word_poset import WordPoset, _extension, poset_of_word
 from .wiring import chains_from_wires
@@ -227,32 +232,42 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
 
 
 def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
-    """All 2^(n-1) delta-indices, sharing each intermediate contraction
-    across the deltas whose suffixes agree."""
+    """All 2^(n-1) delta-indices, keyed by delta in the order of
+    product("AD").  Contractions commute, so the stage reached along a
+    suffix of delta depends only on its a A's and d D's: the profile reads
+    a triangle of n(n-1)/2 stages, one per (a, d) with a + d <= n-2, and
+    builds each vector by putting one entry in front of the vector of its
+    suffix."""
     return _word_profile(P._checked_word)
 
 
 def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:
     # full_profile of the class of w; any word of the class gives the same
     n = _ranked(w, "a delta-profile").rank
-    pairs: dict[str, tuple[int, int]] = {}
-
-    def descend(v: Word, suffix: str):
-        stage = _stage(v)
-        pairs[suffix] = (stage["A"][1], stage["D"][1])
-        if len(suffix) < n - 2:
-            for kind in "AD":
-                descend(_contract(v, stage[kind][0], kind)[0], kind + suffix)
-
-    descend(w, "")
-    profile = {}
-    for letters in product("AD", repeat=n - 1):
-        delta = "".join(letters)
-        profile[delta] = tuple(
-            pairs[delta[k:]][0 if delta[k - 1] == "A" else 1]
-            for k in range(1, n)
-        )
-    return profile
+    # triangle[a, d]: (ind_A, ind_D) after a A- and d D-contractions.
+    # level[a] is the word of stage (a, s - a), contracted once from a
+    # neighbour: (a, d) by A from (a-1, d), (0, d) by D from (0, d-1).
+    triangle: dict[tuple[int, int], tuple[int, int]] = {}
+    level = [w]
+    for s in range(n - 1):
+        stages = [_stage(v) for v in level]
+        for a, stage in enumerate(stages):
+            triangle[a, s - a] = (stage["A"][1], stage["D"][1])
+        if s < n - 2:
+            level = [_contract(level[0], stages[0]["D"][0], "D")[0]] + [
+                _contract(v, stage["A"][0], "A")[0] for v, stage in zip(level, stages)
+            ]
+    # vectors[suffix]: the entries of a delta ending in suffix, one per
+    # letter of the suffix; each level puts one letter and its entry in front
+    vectors: dict[str, tuple[int, ...]] = {"": ()}
+    for m in range(n - 1):
+        longer = {}
+        for kind in "AD":
+            for suffix, vector in vectors.items():
+                a = suffix.count("A")
+                longer[kind + suffix] = (triangle[a, m - a][kind == "D"],) + vector
+        vectors = longer
+    return vectors
 
 
 def format_index_vector(vec: tuple[int, ...]) -> str:

@@ -11,8 +11,9 @@ count of reduced words by descents, the stream of all linear extensions
 (and with it the words of a class and the GC words), the list of all
 ideals, the word poset from its definition and from a wiring diagram, the
 shifted-diagram poset behind the tableau-count oracle, the column-chain
-search and the 3-move class search.  Of the package's modules only the CLI
-imports this one.
+search, the suffix-tree profile and the 3-move class search.  Of the
+package's modules only the CLI imports this one, and only when its verify
+command runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .gc import (
     validate_strict,
 )
 from .indices import (
+    _contract,
+    _ranked,
+    _stage,
     ascending_chain,
     contract_A_with_map,
     contract_D_with_map,
@@ -545,15 +549,57 @@ def _unique_chain(P: WordPoset, which: str) -> tuple[int, ...]:
     return found[0]
 
 
+def suffix_tree_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
+    """The profile oracle: one stage per node of the suffix tree of the
+    deltas, 2^(n-1) - 1 of them, each contracted from its parent along the
+    suffix's letters.  Unlike full_profile it does not rely on contractions
+    commuting."""
+    w = _ranked(P._checked_word, "a delta-profile")
+    n = w.rank
+    pairs: dict[str, tuple[int, int]] = {}
+
+    def descend(v: Word, suffix: str):
+        stage = _stage(v)
+        pairs[suffix] = (stage["A"][1], stage["D"][1])
+        if len(suffix) < n - 2:
+            for kind in "AD":
+                descend(_contract(v, stage[kind][0], kind)[0], kind + suffix)
+
+    descend(w, "")
+    profile = {}
+    for letters in product("AD", repeat=n - 1):
+        delta = "".join(letters)
+        profile[delta] = tuple(
+            pairs[delta[k:]][0 if delta[k - 1] == "A" else 1]
+            for k in range(1, n)
+        )
+    return profile
+
+
+def _contracted(w: Word, kind: str) -> Word:
+    return _contract(w, _stage(w)[kind][0], kind)[0]
+
+
 def check_contraction_laws(n: int = 4) -> Report:
     """Per commutation class: the chains read off a word are the unique
     chains found by searching the column chains, they share exactly one
     element, the elements below each chain form an ideal, removing a chain
     and re-extending over its ideal reproduces the class, and the chains
-    restrict to the chains of the contraction."""
+    restrict to the chains of the contraction.  From rank 2, contracting
+    the class word by D then A gives the same word as by A then D, the law
+    behind the index triangle; the full profile equals the suffix-tree
+    oracle, dict order included."""
     def body():
         for P in enumerate_commutation_classes(n):
             rep = str(lexmin_word(P))
+            if list(full_profile(P).items()) != list(suffix_tree_profile(P).items()):
+                return False, {"word": rep, "reason": "profile differs from the suffix tree"}
+            if n >= 2:
+                w = P._checked_word
+                d_then_a = _contracted(_contracted(w, "D"), "A")
+                a_then_d = _contracted(_contracted(w, "A"), "D")
+                if d_then_a != a_then_d:
+                    return False, {"word": rep, "reason": "C_A(C_D(w)) != C_D(C_A(w))"}
             A = ascending_chain(P)
             D = descending_chain(P)
             if (A, D) != (_unique_chain(P, "A"), _unique_chain(P, "D")):

@@ -4,8 +4,9 @@ Rows are numbered 1..l from the top.  Row j carries the single crossing of
 the diagram in column i_j, swapping the wires at positions i_j, i_j+1.  For
 a reduced word of the longest element, wire j ends at point n+2-j, any two
 wires cross exactly once, and the crossings met by wire 1 (resp. wire n+1)
-read the letters 1..n (resp. n..1); those two rows of crossings are the
-production route to the ascending and descending chains of the word poset.
+read the letters 1..n (resp. n..1); those two rows of crossings, traced
+without the other wires, are the production route to the ascending and
+descending chains of the word poset.
 The order on crossings by paths along the wires, which rebuilds the whole
 word poset from a diagram, is an oracle in `verify`.
 """
@@ -51,7 +52,8 @@ def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The two row sets locate the ascending and descending chains of the word
     poset (elements = positions).  Only defined on reduced words of the
-    longest element.
+    longest element.  One pass over the letters traces the positions of
+    these two wires alone; `WiringDiagram.wires` traces all n+1.
 
     >>> chains_from_wires(Word(3, (1, 2, 1, 3, 2, 1)))
     ((1, 2, 4), (4, 5, 6))
@@ -60,13 +62,20 @@ def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # a word of length n(n+1)/2 that evaluates to w0 is reduced
     if len(w.letters) != n * (n + 1) // 2 or perm_of_word(w) != longest_element(n + 1):
         raise DomainError(f"{w} is not a reduced word of the longest element")
-    diagram = wiring_of_word(w)
-    a_rows = diagram.wires[0]
-    d_rows = diagram.wires[n]
-    spelled = tuple(w.letters[r - 1] for r in a_rows + d_rows)
-    if spelled != tuple(range(1, n + 1)) + tuple(range(n, 0, -1)):
+    a_rows: list[int] = []
+    d_rows: list[int] = []
+    a, d = 1, n + 1  # the positions of wire 1 and wire n+1
+    for row, col in enumerate(w.letters, start=1):
+        if col == a or col == a - 1:
+            a_rows.append(row)
+            a += 1 if col == a else -1
+        if col == d or col == d - 1:
+            d_rows.append(row)
+            d += 1 if col == d else -1
+    spelled = [w.letters[r - 1] for r in a_rows + d_rows]
+    if spelled != [*range(1, n + 1), *range(n, 0, -1)]:
         raise RuntimeError(f"internal error: wires 1 and {n + 1} of {w} misread as {spelled}")
-    return a_rows, d_rows
+    return tuple(a_rows), tuple(d_rows)
 
 
 def render_ascii(diagram: WiringDiagram) -> str:

@@ -33,7 +33,7 @@ from gcwords.word_poset import (
     poset_of_word,
     word_of_extension,
 )
-from gcwords.verify import _unique_chain, ideals
+from gcwords.verify import _unique_chain, ideals, suffix_tree_profile
 from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
@@ -181,6 +181,15 @@ def test_extend_rejects_non_w0_poset():
     for extend in (extend_D, extend_A):
         with pytest.raises(DomainError):
             extend(P, frozenset())
+
+
+@pytest.mark.parametrize("text", ["1,2", "2,1", "1,3,2,1,3", "3,2,1,2,3"])
+def test_full_profile_rejects_non_w0_words(text):
+    # reduced words of other permutations; the first stage is the w0 check
+    P = poset_of_word(parse_word(text))
+    for profile in (full_profile, suffix_tree_profile):
+        with pytest.raises(DomainError, match="not a reduced word of the longest element"):
+            profile(P)
 
 
 def test_hand_built_non_word_poset_rejected():
@@ -355,6 +364,16 @@ def test_full_profile_and_classify_match_single_stage_calls(n, seed):
     assert classify_gc(P) == (zero[0] if zero else None)
 
 
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
+def test_full_profile_matches_the_suffix_tree_oracle(n, seed):
+    P = poset_of_word(random_w0_word(n, random.Random(seed)))
+    profile = full_profile(P)
+    assert list(profile.items()) == list(suffix_tree_profile(P).items())
+    for delta, vector in profile.items():
+        assert delta_index(P, delta) == vector
+
+
 def random_extension(P, rng):
     """A linear extension of P, adding a randomly chosen minimal element of
     the rest at each step."""
@@ -413,7 +432,7 @@ def test_full_profile_stages_each_poset_once(calls, seed):
     n = 5
     P = poset_of_word(random_w0_word(n, random.Random(seed)))
     full_profile(P)
-    stages = 2 ** (n - 1) - 1
+    stages = n * (n - 1) // 2  # one per (a, d) with a + d <= n - 2
     assert calls == {"lexmin_extension": 1, "poset_of_word": 1, "chains_from_wires": stages}
 
 

@@ -46,6 +46,16 @@ def test_only_the_cli_imports_verify():
     assert importers == {"cli"}
 
 
+def test_importing_the_cli_leaves_verify_unloaded():
+    # the verify command imports the oracles when it runs, not before
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = "import sys, gcwords.cli; print('gcwords.verify' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stdout.strip()) == (0, "False"), result.stderr
+
+
 PRODUCTION = ("words", "word_poset", "wiring", "indices", "gc")
 CALLERS = [PACKAGE / f"{stem}.py" for stem in PRODUCTION + ("cli", "verify")]
 CALLERS.append(PACKAGE.parent.parent / "bench" / "workloads.py")

@@ -61,6 +61,13 @@ def test_chains_from_wires_golden():
     assert chains_from_wires(parse_word("1")) == ((1,), (1,))
 
 
+def test_chains_from_wires_are_wires_1_and_n_plus_1(words_of_rank):
+    for n in (1, 2, 3, 4):
+        for w in words_of_rank(n):
+            wires = wiring_of_word(w).wires
+            assert chains_from_wires(w) == (wires[0], wires[n])
+
+
 def test_chains_share_one_row(words_of_rank):
     for w in words_of_rank(3):
         a_rows, d_rows = chains_from_wires(w)
