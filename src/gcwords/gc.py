@@ -16,7 +16,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .indices import _contract, _stage, validate_delta
+from .indices import _indices, validate_delta
+from .wiring import _crossings
 from .word_poset import (
     WordPoset,
     _canonical_poset_of_word,
@@ -55,19 +56,17 @@ def classify_gc(P: WordPoset) -> str | None:
 
 
 def _classify_word(w: Word) -> str | None:
-    # classify_gc of the class of w; any word of the class gives the same
+    # classify_gc of w's class from any word of it; the stage is wires lo..hi
     letters = []
-    for rank in range(w.rank, 1, -1):
-        stage = _stage(w)
-        a, d = stage["A"][1], stage["D"][1]
+    rows, lo, hi = _crossings(w), 1, w.rank + 1
+    while hi - lo > 1:
+        a, d = _indices(rows, lo, hi)
         if a == 0 and d == 0:
             raise RuntimeError("internal error: both indices vanish above rank 1")
         if a and d:
             return None
-        kind = "A" if a == 0 else "D"
-        letters.append(kind)
-        if rank > 2:
-            w = _contract(w, stage[kind][0], kind)[0]
+        letters.append("A" if a == 0 else "D")
+        lo, hi = (lo + 1, hi) if a == 0 else (lo, hi - 1)
     return "".join(reversed(letters))
 
 

@@ -4,19 +4,17 @@ Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
 function reads the poset's one checked word, its lexmin word once the poset
-is checked to be that word's poset (cached on the poset, so one check per
-poset), and then works on letters alone: the chains are the rows where
-wires 1 and n+1 cross, a chain's index counts the later rows that repeat
-the letter of a chain row, and a contraction drops the chain's rows and
-shifts one side down a column.  The direct search of the column chains is
-the oracle in `verify`.
-
-A contraction deletes one pseudoline of the wiring diagram, wire 1 for A
-and wire n+1 for D, and deletions commute: contracting by D then A gives
-the same word as by A then D.  So the stage reached after a A- and d
-D-contractions does not depend on their order, and the full profile reads
-a triangle of n(n-1)/2 stages where the suffix tree of the 2^(n-1) deltas
-has 2^(n-1) - 1; that tree is the profile oracle in `verify`.
+is checked to be that word's poset (cached on the poset), and then works on
+letters alone.  The chains are the rows where wires 1 and n+1 cross.  A
+contraction drops a chain's rows and shifts one side down a column, which
+deletes wire 1 (A) or wire n+1 (D); deletions commute, so the stage after
+a A- and d D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
+indices are read off the word's crossing table, with no contracted word: a
+crossing of wires i and j lies above the chain of wire lo (resp. hi)
+exactly when that wire crosses both before they cross each other.  The
+`verify` oracles count the indices by definition instead, as the later
+rows repeating a chain row's letter, in words contracted along the suffix
+tree of the deltas.
 
 An extension, the inverse of a contraction up to isomorphism, splices a
 fresh chain into a word that lists the chosen ideal first and shifts one
@@ -29,19 +27,24 @@ along a letter sequence delta over {A, D} yields the delta-index vector.
 from __future__ import annotations
 
 from .word_poset import WordPoset, _extension, poset_of_word
-from .wiring import chains_from_wires
+from .wiring import _crossings, chains_from_wires
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
 
 
-def _stage(w: Word) -> dict[str, tuple[tuple[int, ...], int]]:
-    """Per kind "A", "D": the chain's rows in w and its index, the number of
-    later rows that repeat the letter of a chain row.  Raises unless w is a
-    reduced word of the longest element."""
-    letters = w.letters
-    return {
-        kind: (rows, sum(letters[r:].count(letters[r - 1]) for r in rows))
-        for kind, rows in zip("AD", chains_from_wires(w))
-    }
+def _indices(rows: list[list[int]], lo: int, hi: int) -> tuple[int, int]:
+    """(ind_A, ind_D) of the stage on wires lo..hi of the crossing table
+    rows: the crossings of two other wires that wire lo (for A) or wire hi
+    (for D) has crossed both of before they cross."""
+    a = d = 0
+    low, high = rows[lo], rows[hi]
+    for i in range(lo, hi):
+        row_i = rows[i]
+        for j in range(i + 1, hi + 1):
+            # a pair holding lo (hi) fails the A (D) test: low[j] (high[i]) is r
+            r = row_i[j]
+            a += low[i] < r and low[j] < r
+            d += high[i] < r and high[j] < r
+    return a, d
 
 
 def _ideal_rows(letters: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
@@ -57,10 +60,10 @@ def _contract(w: Word, rows: tuple[int, ...], kind: str) -> tuple[Word, list[int
     # Restricting the order of the poset would be wrong: two kept elements
     # may be related only through the removed chain, and such relations do
     # not survive (the wires are spliced past the removed crossings).
-    ideal = set(_ideal_rows(w.letters, rows))
+    ideal, chain = set(_ideal_rows(w.letters, rows)), set(rows)
     kept, letters = [], []
     for r, c in enumerate(w.letters, start=1):
-        if r not in rows:
+        if r not in chain:
             kept.append(r)
             letters.append(c - 1 if (r in ideal) == (kind == "A") else c)
     contracted = Word(w.rank - 1, tuple(letters))
@@ -80,15 +83,15 @@ def _ranked(w: Word, what: str) -> Word:
     return w
 
 
-def _lexmin_stage(P: WordPoset) -> tuple[tuple[int, ...], Word, dict]:
-    """The lexmin extension of P, its checked word and that word's stage."""
+def _chain_rows(P: WordPoset, kind: str) -> tuple[tuple[int, ...], Word, tuple[int, ...]]:
+    # the lexmin extension, the checked word and the rows of its chain
     w = P._checked_word
-    return P._lexmin, w, _stage(w)
+    return P._lexmin, w, chains_from_wires(w)[kind == "D"]
 
 
 def _chain(P: WordPoset, kind: str) -> tuple[int, ...]:
-    extension, _, stage = _lexmin_stage(P)
-    return tuple(extension[r - 1] for r in stage[kind][0])
+    extension, _, rows = _chain_rows(P, kind)
+    return tuple(extension[r - 1] for r in rows)
 
 
 def descending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -115,17 +118,19 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
 
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
-    return _lexmin_stage(P)[2]["D"][1]
+    w = P._checked_word
+    return _indices(_crossings(w), 1, w.rank + 1)[1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
-    return _lexmin_stage(P)[2]["A"][1]
+    w = P._checked_word
+    return _indices(_crossings(w), 1, w.rank + 1)[0]
 
 
 def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
-    extension, w, stage = _lexmin_stage(P)
-    return frozenset(extension[r - 1] for r in _ideal_rows(w.letters, stage[kind][0]))
+    extension, w, rows = _chain_rows(P, kind)
+    return frozenset(extension[r - 1] for r in _ideal_rows(w.letters, rows))
 
 
 def contraction_ideal_D(P: WordPoset) -> frozenset:
@@ -139,8 +144,8 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
-    extension, w, stage = _lexmin_stage(P)
-    contracted, kept = _contract(_ranked(w, "a contraction"), stage[kind][0], kind)
+    extension, w, rows = _chain_rows(P, kind)
+    contracted, kept = _contract(_ranked(w, "a contraction"), rows, kind)
     relabel = {extension[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
@@ -172,8 +177,7 @@ def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:
         raise DomainError(f"{set(ideal)} is not a subset of the ground set")
     w = P._checked_word
     n = w.rank
-    if perm_of_word(w) != longest_element(n + 1):
-        raise DomainError(f"{w} is not a reduced word of the longest element")
+    _crossings(w)  # raises unless w is a reduced word of the longest element
     # the linear extension listing the ideal first, each part in label order;
     # its prefix is the ideal exactly when the ideal is downward closed
     extension = _extension(P, key=lambda k: (k not in ideal, k))
@@ -222,50 +226,36 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
+    rows, lo, hi = _crossings(w), 1, n + 1
     out = [0] * (n - 1)
     for k in range(n - 1, 0, -1):
         kind = delta[k - 1]
-        rows, out[k - 1] = _stage(w)[kind]
-        if k > 1:
-            w = _contract(w, rows, kind)[0]
+        out[k - 1] = _indices(rows, lo, hi)[kind == "D"]
+        lo, hi = (lo + 1, hi) if kind == "A" else (lo, hi - 1)
     return tuple(out)
 
 
 def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """All 2^(n-1) delta-indices, keyed by delta in the order of
-    product("AD").  Contractions commute, so the stage reached along a
-    suffix of delta depends only on its a A's and d D's: the profile reads
-    a triangle of n(n-1)/2 stages, one per (a, d) with a + d <= n-2, and
-    builds each vector by putting one entry in front of the vector of its
-    suffix."""
+    product("AD").  A suffix of delta with a A's and d D's reaches the stage
+    on wires a+1..n+1-d, so one crossing table gives a triangle of n(n-1)/2
+    stages, and each vector is one entry put in front of its suffix's."""
     return _word_profile(P._checked_word)
 
 
 def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:
     # full_profile of the class of w; any word of the class gives the same
     n = _ranked(w, "a delta-profile").rank
-    # triangle[a, d]: (ind_A, ind_D) after a A- and d D-contractions.
-    # level[a] is the word of stage (a, s - a), contracted once from a
-    # neighbour: (a, d) by A from (a-1, d), (0, d) by D from (0, d-1).
-    triangle: dict[tuple[int, int], tuple[int, int]] = {}
-    level = [w]
-    for s in range(n - 1):
-        stages = [_stage(v) for v in level]
-        for a, stage in enumerate(stages):
-            triangle[a, s - a] = (stage["A"][1], stage["D"][1])
-        if s < n - 2:
-            level = [_contract(level[0], stages[0]["D"][0], "D")[0]] + [
-                _contract(v, stage["A"][0], "A")[0] for v, stage in zip(level, stages)
-            ]
-    # vectors[suffix]: the entries of a delta ending in suffix, one per
-    # letter of the suffix; each level puts one letter and its entry in front
+    rows = _crossings(w)
+    # vectors[suffix]: a delta's entries for the letters of its suffix; level
+    # m puts one in front, read at the stage (a, m - a) of the suffix's a A's
     vectors: dict[str, tuple[int, ...]] = {"": ()}
     for m in range(n - 1):
+        level = [_indices(rows, a + 1, n + 1 - m + a) for a in range(m + 1)]
         longer = {}
         for kind in "AD":
             for suffix, vector in vectors.items():
-                a = suffix.count("A")
-                longer[kind + suffix] = (triangle[a, m - a][kind == "D"],) + vector
+                longer[kind + suffix] = (level[suffix.count("A")][kind == "D"],) + vector
         vectors = longer
     return vectors
 

@@ -11,7 +11,8 @@ count of reduced words by descents, the stream of all linear extensions
 (and with it the words of a class and the GC words), the list of all
 ideals, the word poset from its definition and from a wiring diagram, the
 shifted-diagram poset behind the tableau-count oracle, the column-chain
-search, the suffix-tree profile and the 3-move class search.  Of the
+search, the indices by their column-count definition, the suffix-tree
+profile built from them and the 3-move class search.  Of the
 package's modules only the CLI imports this one, and only when its verify
 command runs.
 """
@@ -38,7 +39,6 @@ from .gc import (
 from .indices import (
     _contract,
     _ranked,
-    _stage,
     ascending_chain,
     contract_A_with_map,
     contract_D_with_map,
@@ -51,7 +51,7 @@ from .indices import (
     full_profile,
     ind_D,
 )
-from .wiring import WiringDiagram
+from .wiring import WiringDiagram, chains_from_wires
 from .word_poset import (
     WordPoset,
     _extension,
@@ -547,6 +547,17 @@ def _unique_chain(P: WordPoset, which: str) -> tuple[int, ...]:
     if len(found) > 1:
         raise DomainError(f"{which}-chain not unique: {found[0]} and {found[1]}")
     return found[0]
+
+
+def _stage(w: Word) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Per kind "A", "D": the chain's rows in w and its index, the number of
+    later rows that repeat the letter of a chain row.  Raises unless w is a
+    reduced word of the longest element."""
+    letters = w.letters
+    return {
+        kind: (rows, sum(letters[r:].count(letters[r - 1]) for r in rows))
+        for kind, rows in zip("AD", chains_from_wires(w))
+    }
 
 
 def suffix_tree_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:

@@ -2,11 +2,11 @@
 
 Rows are numbered 1..l from the top.  Row j carries the single crossing of
 the diagram in column i_j, swapping the wires at positions i_j, i_j+1.  For
-a reduced word of the longest element, wire j ends at point n+2-j, any two
-wires cross exactly once, and the crossings met by wire 1 (resp. wire n+1)
-read the letters 1..n (resp. n..1); those two rows of crossings, traced
-without the other wires, are the production route to the ascending and
-descending chains of the word poset.
+a reduced word of the longest element, wire j ends at point n+2-j and any
+two wires cross exactly once.  One pass records the row of each crossing
+in a table, the production trace behind the chains and the indices: the
+crossings met by wire 1 (resp. wire n+1) read the letters 1..n (resp.
+n..1) and locate the ascending (resp. descending) chain of the word poset.
 The order on crossings by paths along the wires, which rebuilds the whole
 word poset from a diagram, is an oracle in `verify`.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import DomainError, Word, longest_element, perm_of_word
+from .words import DomainError, Word
 
 
 @dataclass(frozen=True)
@@ -47,31 +47,39 @@ def wiring_of_word(w: Word) -> WiringDiagram:
     return WiringDiagram(w.rank, w.letters)
 
 
+def _crossings(w: Word) -> list[list[int]]:
+    """rows[u][v] is the row where wires u != v in 1..n+1 cross, and
+    rows[u][u] is 0.  Raises unless w is a reduced word of the longest
+    element: n(n+1)/2 rows and no two wires crossing twice."""
+    n = w.rank
+    rows = [[0] * (n + 2) for _ in range(n + 2)]
+    arrangement = list(range(1, n + 2))
+    if len(w.letters) == n * (n + 1) // 2:
+        for row, col in enumerate(w.letters, start=1):
+            u, v = arrangement[col - 1], arrangement[col]
+            if rows[u][v]:
+                break
+            rows[u][v] = rows[v][u] = row
+            arrangement[col - 1], arrangement[col] = v, u
+        else:
+            return rows
+    raise DomainError(f"{w} is not a reduced word of the longest element")
+
+
 def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rows of the crossings on wire 1 and on wire n+1.
 
     The two row sets locate the ascending and descending chains of the word
     poset (elements = positions).  Only defined on reduced words of the
-    longest element.  One pass over the letters traces the positions of
-    these two wires alone; `WiringDiagram.wires` traces all n+1.
+    longest element.  Both are read off the crossing table: wire 1 crosses
+    every other wire once, and so does wire n+1.
 
     >>> chains_from_wires(Word(3, (1, 2, 1, 3, 2, 1)))
     ((1, 2, 4), (4, 5, 6))
     """
     n = w.rank
-    # a word of length n(n+1)/2 that evaluates to w0 is reduced
-    if len(w.letters) != n * (n + 1) // 2 or perm_of_word(w) != longest_element(n + 1):
-        raise DomainError(f"{w} is not a reduced word of the longest element")
-    a_rows: list[int] = []
-    d_rows: list[int] = []
-    a, d = 1, n + 1  # the positions of wire 1 and wire n+1
-    for row, col in enumerate(w.letters, start=1):
-        if col == a or col == a - 1:
-            a_rows.append(row)
-            a += 1 if col == a else -1
-        if col == d or col == d - 1:
-            d_rows.append(row)
-            d += 1 if col == d else -1
+    rows = _crossings(w)
+    a_rows, d_rows = sorted(rows[1][2:]), sorted(rows[n + 1][1 : n + 1])
     spelled = [w.letters[r - 1] for r in a_rows + d_rows]
     if spelled != [*range(1, n + 1), *range(n, 0, -1)]:
         raise RuntimeError(f"internal error: wires 1 and {n + 1} of {w} misread as {spelled}")

@@ -72,6 +72,9 @@ def word(letters: Sequence[int], rank: int | None = None) -> Word:
     if rank is None:
         if not letters:
             raise DomainError("cannot infer the rank of an empty word")
+        for pos, letter in enumerate(letters, start=1):
+            if letter < 1:
+                raise DomainError(f"letter {letter} at position {pos} is not positive")
         rank = max(letters)
     return Word(rank, letters)
 

@@ -256,6 +256,8 @@ def _run_cli(*argv, env_extra=None):
     [
         (("words", "w0", "x"), None),
         (("classes", "3"), {"GCWORDS_BUDGET": "abc"}),
+        (("poset", "-2"), None),
+        (("classify", "0,0"), None),
     ],
 )
 def test_bad_integers_exit_1_without_traceback(argv, env_extra):

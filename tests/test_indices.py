@@ -33,7 +33,7 @@ from gcwords.word_poset import (
     poset_of_word,
     word_of_extension,
 )
-from gcwords.verify import _unique_chain, ideals, suffix_tree_profile
+from gcwords.verify import _stage, _unique_chain, ideals, suffix_tree_profile
 from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
@@ -94,6 +94,16 @@ def test_chains_agree_with_wiring_rows(words_of_rank):
         P = poset_of_word(w)
         assert ascending_chain(P) == _unique_chain(P, "A")
         assert descending_chain(P) == _unique_chain(P, "D")
+
+
+def test_indices_match_the_column_count_oracle(words_of_rank):
+    # the crossing-table count against the paper's definition: the later
+    # rows that repeat the letter of a chain row
+    for n in range(1, 5):
+        for w in words_of_rank(n):
+            P = poset_of_word(w)
+            stage = _stage(w)
+            assert (ind_A(P), ind_D(P)) == (stage["A"][1], stage["D"][1])
 
 
 def test_ind_golden():
@@ -403,8 +413,9 @@ def test_word_walks_read_any_word_of_the_class(n, seed):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of the lexmin extension, of poset_of_word and of the
-    wiring chains, under every name the package reaches them by."""
+    """Counts calls of the lexmin extension, of poset_of_word, of the
+    crossing table and of the contraction, under every name the package
+    reaches them by."""
     counter = Counter()
 
     def counting(name, real):
@@ -417,7 +428,8 @@ def calls(monkeypatch):
     for name, real in (
         ("lexmin_extension", word_poset.lexmin_extension),
         ("poset_of_word", word_poset.poset_of_word),
-        ("chains_from_wires", wiring.chains_from_wires),
+        ("_crossings", wiring._crossings),
+        ("_contract", indices._contract),
     ):
         wrapper = counting(name, real)
         for module in (word_poset, wiring, indices, gc):
@@ -426,21 +438,23 @@ def calls(monkeypatch):
     return counter
 
 
+# one lexmin word and entry check, one crossing table, no contracted word
+ONE_TRACE = Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _contract=0)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_full_profile_stages_each_poset_once(calls, seed):
-    # one poset is read (lexmin word, entry check); every stage is a word
     n = 5
     P = poset_of_word(random_w0_word(n, random.Random(seed)))
     full_profile(P)
-    stages = n * (n - 1) // 2  # one per (a, d) with a + d <= n - 2
-    assert calls == {"lexmin_extension": 1, "poset_of_word": 1, "chains_from_wires": stages}
+    assert calls == ONE_TRACE
 
 
 @pytest.mark.parametrize("delta", ["AAAA", "ADDA", "DDDD"])
 def test_delta_index_builds_one_poset(calls, delta):
     n = 5
     delta_index(poset_of_word(random_w0_word(n, random.Random(4))), delta)
-    assert calls == {"lexmin_extension": 1, "poset_of_word": 1, "chains_from_wires": n - 1}
+    assert calls == ONE_TRACE
 
 
 def test_public_calls_share_one_entry_check(calls):
@@ -458,8 +472,5 @@ def test_public_calls_share_one_entry_check(calls):
 def test_classify_gc_stages_each_poset_once(calls, seed):
     n = 5
     w = standard_word(n) if seed is None else random_w0_word(n, random.Random(seed))
-    delta = classify_gc(poset_of_word(w))
-    assert calls["lexmin_extension"] == calls["poset_of_word"] == 1
-    assert calls["chains_from_wires"] <= n - 1
-    if delta is not None:
-        assert calls["chains_from_wires"] == n - 1
+    classify_gc(poset_of_word(w))
+    assert calls == ONE_TRACE

@@ -46,6 +46,29 @@ def test_only_the_cli_imports_verify():
     assert importers == {"cli"}
 
 
+def _names(node):
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, (ast.ImportFrom, ast.Import)):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.FunctionDef):
+        yield node.name
+
+
+def test_only_indices_and_verify_reach_the_contraction_rule():
+    # the other modules read their indices off the crossing table through
+    # indices._indices; contracted words stay behind indices and its oracle
+    users = {
+        path.stem
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if {"_contract", "_stage"} & set(_names(node))
+    }
+    assert users == {"indices", "verify"}
+
+
 def test_importing_the_cli_leaves_verify_unloaded():
     # the verify command imports the oracles when it runs, not before
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -5,6 +5,7 @@ import pytest
 from gcwords.verify import poset_of_wiring
 from gcwords.wiring import (
     WiringDiagram,
+    _crossings,
     chains_from_wires,
     render_ascii,
     render_dot,
@@ -66,6 +67,15 @@ def test_chains_from_wires_are_wires_1_and_n_plus_1(words_of_rank):
         for w in words_of_rank(n):
             wires = wiring_of_word(w).wires
             assert chains_from_wires(w) == (wires[0], wires[n])
+
+
+def test_crossing_table_holds_every_wire(words_of_rank):
+    # row u of the table, sorted, is the trace of wire u
+    for n in (1, 2, 3, 4):
+        for w in words_of_rank(n):
+            rows, wires = _crossings(w), wiring_of_word(w).wires
+            for u in range(1, n + 2):
+                assert sorted(rows[u][v] for v in range(1, n + 2) if v != u) == list(wires[u - 1])
 
 
 def test_chains_share_one_row(words_of_rank):

@@ -45,6 +45,21 @@ def test_letters_out_of_range():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-2", "letter -2 at position 1 is not positive"),
+        ("0,0", "letter 0 at position 1 is not positive"),
+        ("2,1,0", "letter 0 at position 3 is not positive"),
+    ],
+)
+def test_inferred_rank_names_the_first_nonpositive_letter(text, message):
+    # the rank is inferred only from valid letters, so the message names
+    # the bad letter and not a rank the text never gave
+    with pytest.raises(DomainError, match=message):
+        parse_word(text)
+
+
+@pytest.mark.parametrize(
     "p,count",
     [((1, 2, 3), 0), ((3, 2, 1), 3), ((4, 3, 2, 1), 6), ((2, 4, 1, 3), 3)],
 )
