@@ -29,6 +29,8 @@ def _budget(args) -> int:
 def _check_rank_budget(n: int, args, what: str):
     budget = _budget(args)
     if n > budget:
+        if getattr(args, "force", False):
+            raise gc.BudgetExceeded(f"{what} at rank {n} exceeds the --force budget {budget}")
         raise gc.BudgetExceeded(
             f"{what} at rank {n} exceeds the default budget {budget}; "
             f"pass --force to override"
@@ -75,12 +77,14 @@ def _cmd_words(args) -> int:
             raise DomainError(f"rank must be an integer, not {args.target[1]!r}") from None
         if n < 1:
             raise DomainError("rank must be positive")
+        # before building w0, whose size is the rank
+        _check_rank_budget(n, args, "enumerating reduced words")
         perm = words.longest_element(n + 1)
     else:
         if len(args.target) != 1:
             raise DomainError("usage: words <[perm]> or words w0 <n>")
         perm = words.parse_perm(args.target[0])
-    _check_rank_budget(len(perm) - 1, args, "enumerating reduced words")
+        _check_rank_budget(len(perm) - 1, args, "enumerating reduced words")
     # Each word's str() was made by the enumeration loop.  Two writes per
     # line, as print makes: the text, then the newline.  One joined write per
     # line raised the peak memory of the benchmark's sink, which buffers by

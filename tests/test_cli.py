@@ -258,6 +258,8 @@ def _run_cli(*argv, env_extra=None):
         (("classes", "3"), {"GCWORDS_BUDGET": "abc"}),
         (("poset", "-2"), None),
         (("classify", "0,0"), None),
+        # past the --force budget: refused before w0 is built
+        (("words", "w0", "99999999999999999999", "--force"), None),
     ],
 )
 def test_bad_integers_exit_1_without_traceback(argv, env_extra):
@@ -265,6 +267,15 @@ def test_bad_integers_exit_1_without_traceback(argv, env_extra):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_python_dash_m_gcwords_runs_the_cli():
+    src = str(Path(gcwords.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "gcwords", "words", "w0", "2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1,2,1\n2,1,2\n", "")
 
 
 def test_words_into_a_closed_pipe_exits_1_without_traceback():

@@ -1,9 +1,12 @@
+import tracemalloc
+from collections import deque
 from dataclasses import replace
-from itertools import islice, permutations
+from itertools import islice, permutations, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gcwords.words
 from gcwords.words import (
     DomainError,
     Word,
@@ -147,6 +150,58 @@ def test_enumerated_words_equal_checked_words():
                 assert (w, hash(w), repr(w), str(w)) == (plain, hash(plain), repr(plain), str(plain))
                 moved = replace(w, letters=w.letters[::-1])
                 assert str(moved) == ",".join(map(str, w.letters[::-1]))
+
+
+def _stream(p):
+    return [(w.rank, w.letters, str(w)) for w in enumerate_reduced_words(p)]
+
+
+def test_interleaved_enumerations_do_not_share_state():
+    # Each call keeps its own table of tails: two streams of the same
+    # permutation and one of another, advanced in turn, each give what they
+    # give alone, and nothing is left behind in the module.
+    def module_state():
+        # containers by value, so a module-level cache filled in place shows
+        return {
+            name: list(value.items()) if isinstance(value, dict) else
+            list(value) if isinstance(value, (list, set)) else value
+            for name, value in vars(gcwords.words).items()
+            if not name.startswith("__")
+        }
+
+    before = module_state()
+    w0, other = longest_element(5), (3, 5, 1, 4, 2)
+    alone = [_stream(w0), _stream(w0), _stream(other)]
+    streams = [enumerate_reduced_words(w0), enumerate_reduced_words(w0),
+               enumerate_reduced_words(other)]
+    together = [[], [], []]
+    for step in zip_longest(*streams):
+        for seen, w in zip(together, step):
+            if w is not None:
+                seen.append((w.rank, w.letters, str(w)))
+    assert together == alone
+    assert module_state() == before
+
+
+def _traced_peak(ws):
+    tracemalloc.start()
+    try:
+        deque(ws, maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "n, take, bound",
+    # measured peaks: 27-59 KiB for the whole rank-4 stream, 17-20 KiB for
+    # the first 2,000 words at rank 9, depending on what ran before.  A table
+    # of whole words holds 680 KiB at rank 4 and cannot start at rank 9.
+    [(4, None, 192 * 1024), (9, 2000, 80 * 1024)],
+)
+def test_enumeration_memory_stays_bounded(n, take, bound):
+    assert _traced_peak(islice(enumerate_reduced_words(longest_element(n + 1)), take)) < bound
+
 
 @settings(deadline=None, max_examples=40)
 @given(p=st.permutations(range(1, 8)))
