@@ -52,7 +52,7 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
-    return _classify_word(P._checked_word)
+    return _classify_word(P._reading[0])
 
 
 def _classify_word(w: Word) -> str | None:

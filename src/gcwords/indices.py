@@ -3,9 +3,13 @@
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
-function reads the poset's one checked word, its lexmin word once the poset
-is checked to be that word's poset (cached on the poset), and then works on
-letters alone.  The chains are the rows where wires 1 and n+1 cross.  A
+function reads one word of the poset's class and then works on letters
+alone.  The chains, ideals, indices, profiles and extensions read the
+poset's `_reading`: the word it was built from, with the element at each
+row, or for a poset that keeps no word its lexmin word, checked once to
+have the poset as its poset.  The contractions read the checked lexmin
+word, whichever word the poset keeps, because the contracted poset is
+labeled along it.  The chains are the rows where wires 1 and n+1 cross.  A
 contraction drops a chain's rows and shifts one side down a column, which
 deletes wire 1 (A) or wire n+1 (D); deletions commute, so the stage after
 a A- and d D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
@@ -83,15 +87,9 @@ def _ranked(w: Word, what: str) -> Word:
     return w
 
 
-def _chain_rows(P: WordPoset, kind: str) -> tuple[tuple[int, ...], Word, tuple[int, ...]]:
-    # the lexmin extension, the checked word and the rows of its chain
-    w = P._checked_word
-    return P._lexmin, w, chains_from_wires(w)[kind == "D"]
-
-
 def _chain(P: WordPoset, kind: str) -> tuple[int, ...]:
-    extension, _, rows = _chain_rows(P, kind)
-    return tuple(extension[r - 1] for r in rows)
+    w, labels = P._reading
+    return tuple(labels[r - 1] for r in chains_from_wires(w)[kind == "D"])
 
 
 def descending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -118,19 +116,20 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
 
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
-    w = P._checked_word
+    w = P._reading[0]
     return _indices(_crossings(w), 1, w.rank + 1)[1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
-    w = P._checked_word
+    w = P._reading[0]
     return _indices(_crossings(w), 1, w.rank + 1)[0]
 
 
 def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
-    extension, w, rows = _chain_rows(P, kind)
-    return frozenset(extension[r - 1] for r in _ideal_rows(w.letters, rows))
+    w, labels = P._reading
+    rows = chains_from_wires(w)[kind == "D"]
+    return frozenset(labels[r - 1] for r in _ideal_rows(w.letters, rows))
 
 
 def contraction_ideal_D(P: WordPoset) -> frozenset:
@@ -144,9 +143,12 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
-    extension, w, rows = _chain_rows(P, kind)
+    # the lexmin word, whichever word P was built from: the contracted
+    # poset is labeled along it
+    w = P._checked_word
+    rows = chains_from_wires(w)[kind == "D"]
     contracted, kept = _contract(_ranked(w, "a contraction"), rows, kind)
-    relabel = {extension[r - 1]: new for new, r in enumerate(kept, start=1)}
+    relabel = {P._lexmin[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
 
@@ -175,7 +177,7 @@ def contract_A(P: WordPoset) -> WordPoset:
 def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:
     if not ideal <= frozenset(range(1, P.size + 1)):
         raise DomainError(f"{set(ideal)} is not a subset of the ground set")
-    w = P._checked_word
+    w = P._reading[0]
     n = w.rank
     _crossings(w)  # raises unless w is a reduced word of the longest element
     # the linear extension listing the ideal first, each part in label order;
@@ -222,7 +224,7 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     (0, 0)
     """
     validate_delta(delta)
-    w = _ranked(P._checked_word, "a delta-index")
+    w = _ranked(P._reading[0], "a delta-index")
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
@@ -240,7 +242,7 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     product("AD").  A suffix of delta with a A's and d D's reaches the stage
     on wires a+1..n+1-d, so one crossing table gives a triangle of n(n-1)/2
     stages, and each vector is one entry put in front of its suffix's."""
-    return _word_profile(P._checked_word)
+    return _word_profile(P._reading[0])
 
 
 def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:

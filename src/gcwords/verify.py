@@ -564,7 +564,8 @@ def suffix_tree_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """The profile oracle: one stage per node of the suffix tree of the
     deltas, 2^(n-1) - 1 of them, each contracted from its parent along the
     suffix's letters.  Unlike full_profile it does not rely on contractions
-    commuting."""
+    commuting, and it reads the checked lexmin word, not the word the
+    poset was built from."""
     w = _ranked(P._checked_word, "a delta-profile")
     n = w.rank
     pairs: dict[str, tuple[int, int]] = {}
@@ -598,13 +599,18 @@ def check_contraction_laws(n: int = 4) -> Report:
     and re-extending over its ideal reproduces the class, and the chains
     restrict to the chains of the contraction.  From rank 2, contracting
     the class word by D then A gives the same word as by A then D, the law
-    behind the index triangle; the full profile equals the suffix-tree
-    oracle, dict order included."""
+    behind the index triangle; the full profile, read off the word the
+    class was spliced from, equals the suffix-tree oracle on the lexmin
+    word and the profile of a copy of the poset that keeps no word, dict
+    order included."""
     def body():
         for P in enumerate_commutation_classes(n):
             rep = str(lexmin_word(P))
-            if list(full_profile(P).items()) != list(suffix_tree_profile(P).items()):
+            profile = list(full_profile(P).items())
+            if profile != list(suffix_tree_profile(P).items()):
                 return False, {"word": rep, "reason": "profile differs from the suffix tree"}
+            if profile != list(full_profile(WordPoset(P.columns, P.covers)).items()):
+                return False, {"word": rep, "reason": "profile differs from a copy's"}
             if n >= 2:
                 w = P._checked_word
                 d_then_a = _contracted(_contracted(w, "D"), "A")

@@ -12,9 +12,17 @@ per column.  One walker of the ideal lattice, on such keys, serves
 counting linear extensions and enumerating and counting commutation
 classes by word splices.  One extension walker, `_extension`, reads a
 single linear extension under a key; each poset caches its lexmin
-extension, from which its up-set masks and column chains follow, and one
-checked word: the lexmin word, once the poset is checked to be that word's
-poset, which the chain, index and contraction routes all read.
+extension, from which its up-set masks and column chains follow.
+
+A linear extension of a word's poset reads a word of the same class, so a
+poset built from a word (by `poset_of_word`, or as the canonical poset of
+a class word) keeps that word with the element at each of its positions.
+The chain, index, ideal, profile and classification routes read it, and
+so does the extension count, for their answers are the same on every word
+of the class.  Any other poset, a copy of one of those included, reads its
+checked word instead: the lexmin word, once the poset is checked to be
+that word's poset.  The contractions always read the checked word, since
+their results are labeled along it.
 
 The strict order `less` is answered from the up-set bitmasks (one int per
 element), so the sizes handled here (l <= 36 at rank 8) cost nothing.
@@ -102,13 +110,26 @@ class WordPoset:
         poset: its covers, relabeled by position in the lexmin extension,
         must be the covers of poset_of_word.  From then on the word stands
         for the poset, with row r for element _lexmin[r-1].  A failed check
-        raises and is not cached."""
+        raises and is not cached.  The contractions read this word whatever
+        word the poset was built from, since their results are labeled
+        along it; so do the `verify` oracles, to read another word of the
+        class than the routes that read `_reading`."""
         extension = lexmin_extension(self)
         w = word_of_extension(self, extension)
         row = {k: r for r, k in enumerate(extension, start=1)}
         if tuple(sorted((row[x], row[y]) for x, y in self.covers)) != poset_of_word(w).covers:
             raise DomainError(f"poset is not the word poset of its word {w}")
         return w
+
+    @cached_property
+    def _reading(self) -> tuple[Word, Sequence[int]]:
+        """A word of this poset's class and the element at each of its
+        positions: element labels[r-1] sits at row r.  poset_of_word and
+        _canonical_poset_of_word set it to the word they read, which is
+        a word of the poset by construction; any other poset, a copy
+        included, reads its checked lexmin word.  The routes whose answer
+        is the same on every word of the class read this pair."""
+        return self._checked_word, self._lexmin
 
     def less(self, x: int, y: int) -> bool:
         """Strict order: x < y in the poset."""
@@ -164,7 +185,13 @@ def poset_of_word(w: Word) -> WordPoset:
     if not is_reduced(w):
         raise DomainError(f"word {w} is not reduced")
     letters = w.letters
-    return WordPoset(tuple(letters), tuple(_word_covers(letters, range(len(letters) + 1))))
+    P = WordPoset(tuple(letters), tuple(_word_covers(letters, range(len(letters) + 1))))
+    # kept at the poset's rank, as the lexmin word is: the routes that
+    # read it check that it is a word of the longest element of that rank
+    if w.rank != P.rank:
+        w = Word(P.rank, letters)
+    P.__dict__["_reading"] = (w, range(1, len(letters) + 1))
+    return P
 
 
 def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
@@ -182,7 +209,9 @@ def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
     for c in letters:
         offset[c] += 1
         label.append(offset[c])
-    return WordPoset(tuple(sorted(letters)), tuple(_word_covers(letters, label)))
+    P = WordPoset(tuple(sorted(letters)), tuple(_word_covers(letters, label)))
+    P.__dict__["_reading"] = (Word(len(counts) - 1, tuple(letters)), tuple(label[1:]))
+    return P
 
 
 def canonical_form(P: WordPoset) -> WordPoset:
@@ -267,9 +296,9 @@ def _poset_needs(P: WordPoset) -> list[list[list[tuple[int, int]]]]:
 
 
 def _word_needs(letters: Sequence[int], rank: int) -> list[list[list[tuple[int, int]]]]:
-    # The same table read off a word whose letters use every column 1..rank:
-    # the k-th occurrence of c is addable once columns c-1 and c+1 hold all
-    # their occurrences before it.
+    # The same table read off a reduced word with letters in 1..rank, a
+    # column the word does not use left empty: the k-th occurrence of c is
+    # addable once columns c-1 and c+1 hold all their occurrences before it.
     needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(rank)]
     seen = [0] * (rank + 2)
     for c in letters:
@@ -284,7 +313,10 @@ def count_linear_extensions(P: WordPoset) -> int:
     >>> count_linear_extensions(poset_of_word(standard_word(3)))
     2
     """
-    for level in _ideal_levels(_poset_needs(P)):
+    # a poset read through a word reads its table off that word
+    reading = P.__dict__.get("_reading")
+    needs = _poset_needs(P) if reading is None else _word_needs(reading[0].letters, P.rank)
+    for level in _ideal_levels(needs):
         pass  # the last level holds the full ideal alone
     (total,) = level.values()
     return total

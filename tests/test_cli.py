@@ -194,6 +194,13 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "profile", "index"])
+def test_non_w0_error_names_the_word_typed(capsys, command):
+    code, out, err = run(capsys, command, "3,1")
+    assert (code, out) == (1, "")
+    assert err == "error: 3,1 is not a reduced word of the longest element\n"
+
+
 def test_budget_refusal_and_force(capsys, monkeypatch):
     code, _, err = run(capsys, "classes", "6")
     assert code == 1 and "budget" in err

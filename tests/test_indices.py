@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -26,6 +27,7 @@ from gcwords.indices import (
 )
 from gcwords.word_poset import (
     WordPoset,
+    _canonical_poset_of_word,
     canonical_form,
     is_ideal,
     is_isomorphic,
@@ -402,8 +404,8 @@ def random_extension(P, rng):
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(min_value=2, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
 def test_word_walks_read_any_word_of_the_class(n, seed):
-    # the public functions read the lexmin word; any other word of the
-    # class must give the same answers
+    # P keeps no word, so the public functions read its lexmin word; any
+    # other word of the class must give the same answers
     rng = random.Random(seed)
     P = canonical_form(poset_of_word(random_w0_word(n, rng)))
     w = word_of_extension(P, random_extension(P, rng))
@@ -438,8 +440,15 @@ def calls(monkeypatch):
     return counter
 
 
-# one lexmin word and entry check, one crossing table, no contracted word
+# a poset built from a word reads that word: no lexmin word, no second
+# poset, one crossing table, no contracted word
+WORD_TRACE = Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _contract=0)
+# a copy reads its lexmin word, checked against a second poset
 ONE_TRACE = Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _contract=0)
+
+
+def copy_of(P):
+    return WordPoset(P.columns, P.covers)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -447,25 +456,27 @@ def test_full_profile_stages_each_poset_once(calls, seed):
     n = 5
     P = poset_of_word(random_w0_word(n, random.Random(seed)))
     full_profile(P)
-    assert calls == ONE_TRACE
+    assert calls == WORD_TRACE
 
 
 @pytest.mark.parametrize("delta", ["AAAA", "ADDA", "DDDD"])
 def test_delta_index_builds_one_poset(calls, delta):
     n = 5
     delta_index(poset_of_word(random_w0_word(n, random.Random(4))), delta)
-    assert calls == ONE_TRACE
+    assert calls == WORD_TRACE
 
 
 def test_public_calls_share_one_entry_check(calls):
-    # the checked word is cached on the poset, so later calls skip the check
+    # a poset built from a word needs no entry check; a copy checks its
+    # lexmin word once and caches it, so later calls skip the check
     P = poset_of_word(random_w0_word(5, random.Random(5)))
-    classify_gc(P)
-    full_profile(P)
-    delta_index(P, "ADDA")
-    ind_A(P)
-    ascending_chain(P)
-    assert calls["lexmin_extension"] == calls["poset_of_word"] == 1
+    for Q, checks in ((P, 0), (copy_of(P), 1)):
+        classify_gc(Q)
+        full_profile(Q)
+        delta_index(Q, "ADDA")
+        ind_A(Q)
+        ascending_chain(Q)
+        assert calls["lexmin_extension"] == calls["poset_of_word"] == checks
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -473,4 +484,76 @@ def test_classify_gc_stages_each_poset_once(calls, seed):
     n = 5
     w = standard_word(n) if seed is None else random_w0_word(n, random.Random(seed))
     classify_gc(poset_of_word(w))
+    assert calls == WORD_TRACE
+
+
+@pytest.mark.parametrize(
+    "route",
+    [full_profile, classify_gc, lambda P: delta_index(P, "ADDA")],
+    ids=["full_profile", "classify_gc", "delta_index"],
+)
+@pytest.mark.parametrize("build", [poset_of_word, lambda w: _canonical_poset_of_word(w.letters)],
+                         ids=["poset_of_word", "canonical"])
+def test_copies_check_their_lexmin_word_once(calls, route, build):
+    P = build(random_w0_word(5, random.Random(6)))
+    route(P)
+    assert calls == WORD_TRACE
+    calls.clear()
+    route(copy_of(P))
     assert calls == ONE_TRACE
+
+
+def route_answers(P):
+    """Every public route on P, in a form that compares literally: dict
+    order, contracted columns and covers, and the relabeling in order."""
+    n = P.rank
+    answers = {
+        "classify_gc": classify_gc(P),
+        "full_profile": list(full_profile(P).items()),
+        "delta_index": [delta_index(P, "".join(d)) for d in product("AD", repeat=n - 1)],
+        "ind": (ind_A(P), ind_D(P)),
+        "chains": (ascending_chain(P), descending_chain(P)),
+        "ideals": (contraction_ideal_A(P), contraction_ideal_D(P)),
+        "count_linear_extensions": word_poset.count_linear_extensions(P),
+    }
+    for kind, contract in (("A", contract_A_with_map), ("D", contract_D_with_map)):
+        Q, m = contract(P)
+        answers["contract_" + kind] = (Q.columns, Q.covers, list(m.items()))
+    if n <= 3:
+        answers["extend"] = [
+            (E.columns, E.covers)
+            for ideal in ideals(P)
+            for E in (extend_A(P, ideal), extend_D(P, ideal))
+        ]
+    return answers
+
+
+def assert_routes_match_a_cold_copy(P):
+    cold = copy_of(P)
+    assert vars(cold) == {"columns": P.columns, "covers": P.covers}
+    assert P == cold and hash(P) == hash(cold) and repr(P) == repr(cold)
+    assert route_answers(P) == route_answers(cold)
+
+
+def test_word_poset_signature_is_columns_and_covers():
+    assert list(inspect.signature(WordPoset).parameters) == ["columns", "covers"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_recorded_classes_answer_as_cold_copies(classes_of_rank, n):
+    for P in classes_of_rank(n):
+        assert_routes_match_a_cold_copy(P)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_recorded_gc_posets_answer_as_cold_copies(n):
+    for letters in product("AD", repeat=n - 1):
+        assert_routes_match_a_cold_copy(gc.gc_poset_of_delta("".join(letters)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
+def test_recorded_words_answer_as_cold_copies(n, seed):
+    w = random_w0_word(n, random.Random(seed))
+    assert_routes_match_a_cold_copy(poset_of_word(w))
+    assert_routes_match_a_cold_copy(_canonical_poset_of_word(w.letters))
