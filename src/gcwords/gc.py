@@ -17,14 +17,13 @@ from itertools import product
 from math import factorial, prod
 
 from .indices import _indices, validate_delta
-from .wiring import _crossings
 from .word_poset import (
     WordPoset,
     _canonical_poset_of_word,
     count_linear_extensions,
     enumerate_commutation_classes,
 )
-from .words import DomainError, Word, _splice
+from .words import DomainError, _splice
 
 
 class BudgetExceeded(DomainError):
@@ -52,13 +51,14 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
-    return _classify_word(P._reading[0])
+    return _classify_table(P._crossing_table)
 
 
-def _classify_word(w: Word) -> str | None:
-    # classify_gc of w's class from any word of it; the stage is wires lo..hi
+def _classify_table(rows: list[list[int]]) -> str | None:
+    # classify_gc from the crossing table of any word of the class; the
+    # stage is wires lo..hi
     letters = []
-    rows, lo, hi = _crossings(w), 1, w.rank + 1
+    lo, hi = 1, len(rows) - 1
     while hi - lo > 1:
         a, d = _indices(rows, lo, hi)
         if a == 0 and d == 0:

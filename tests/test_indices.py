@@ -216,6 +216,9 @@ def test_hand_built_non_word_poset_rejected():
         lambda: full_profile(Q),
         lambda: ind_A(Q),
         lambda: classify_gc(Q),
+        lambda: canonical_form(Q),
+        lambda: word_poset.count_linear_extensions(Q),
+        lambda: Q.column_chains,
     ):
         for _ in range(2):  # a failed check is not cached
             with pytest.raises(DomainError, match="not the word poset"):
@@ -404,13 +407,13 @@ def random_extension(P, rng):
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(min_value=2, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
 def test_word_walks_read_any_word_of_the_class(n, seed):
-    # P keeps no word, so the public functions read its lexmin word; any
+    # P keeps the word of its canonical labels; the crossing table of any
     # other word of the class must give the same answers
     rng = random.Random(seed)
     P = canonical_form(poset_of_word(random_w0_word(n, rng)))
-    w = word_of_extension(P, random_extension(P, rng))
-    assert indices._word_profile(w) == full_profile(P)
-    assert gc._classify_word(w) == classify_gc(P)
+    rows = wiring._crossings(word_of_extension(P, random_extension(P, rng)))
+    assert indices._table_profile(rows) == full_profile(P)
+    assert gc._classify_table(rows) == classify_gc(P)
 
 
 @pytest.fixture
@@ -468,15 +471,26 @@ def test_delta_index_builds_one_poset(calls, delta):
 
 def test_public_calls_share_one_entry_check(calls):
     # a poset built from a word needs no entry check; a copy checks its
-    # lexmin word once and caches it, so later calls skip the check
+    # lexmin word once and caches it, so later calls skip the check.  Each
+    # poset builds one crossing table, which all five routes read.
     P = poset_of_word(random_w0_word(5, random.Random(5)))
-    for Q, checks in ((P, 0), (copy_of(P), 1)):
+    for Q, checks, tables in ((P, 0, 1), (copy_of(P), 1, 2)):
         classify_gc(Q)
         full_profile(Q)
         delta_index(Q, "ADDA")
         ind_A(Q)
         ascending_chain(Q)
         assert calls["lexmin_extension"] == calls["poset_of_word"] == checks
+        assert calls["_crossings"] == tables
+
+
+@pytest.mark.parametrize("contract", [contract_A_with_map, contract_D_with_map],
+                         ids=["A", "D"])
+def test_contractions_skip_the_check_on_word_posets(calls, contract):
+    # the recorded word proves P a word poset: the contraction reads the
+    # lexmin word and builds the contracted poset, and no second poset
+    contract(poset_of_word(standard_word(5)))
+    assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _contract=1)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])

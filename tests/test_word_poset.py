@@ -10,6 +10,7 @@ from gcwords.verify import (
     _classes_by_3moves,
     _covers_from_below,
     _down_masks,
+    _poset_needs,
     _poset_of_word_by_definition,
     braid_triples,
     count_reduced_words,
@@ -24,7 +25,6 @@ from gcwords.word_poset import (
     _class_words,
     _extension,
     _ideal_levels,
-    _poset_needs,
     _word_needs,
     canonical_form,
     count_commutation_classes,
@@ -123,6 +123,40 @@ def test_canonical_poset_of_word_is_the_canonical_form(classes_of_rank):
             assert _canonical_poset_of_word(w.letters) == canonical_form(poset_of_word(w)) == P
 
 
+def test_canonical_form_and_column_chains_read_the_word(monkeypatch):
+    # both read the word a poset keeps: no linear extension is walked
+    import gcwords.word_poset as word_poset
+
+    def refused(*args, **kwargs):
+        raise AssertionError("walked a linear extension")
+
+    monkeypatch.setattr(word_poset, "_extension", refused)
+    posets = [P for n in (1, 2, 3, 4) for P in enumerate_commutation_classes(n)]
+    posets += [
+        gc_poset_of_delta("".join(kinds))
+        for n in range(1, 7)
+        for kinds in product("AD", repeat=n - 1)
+    ]
+    for P in posets:
+        assert canonical_form(P) == P
+        # a canonical poset numbers each column bottom to top, column by column
+        labels = iter(range(1, P.size + 1))
+        assert P.column_chains == {
+            c: tuple(next(labels) for _ in range(P.columns.count(c)))
+            for c in sorted(set(P.columns))
+        }
+
+
+def test_columns_that_are_not_chains_rejected():
+    # column 1 holds the incomparable elements 1 and 3: no word's poset,
+    # and no table for the ideal walker
+    P = WordPoset((1, 2, 1), ((1, 2), (3, 2)))
+    with pytest.raises(DomainError, match="not reduced"):
+        P.column_chains
+    with pytest.raises(DomainError, match="column 1 is not a chain"):
+        list(ideals(P))
+
+
 def test_invalid_covers_rejected():
     with pytest.raises(DomainError):
         WordPoset((1, 3), ((1, 2),))  # non-adjacent columns
@@ -181,10 +215,15 @@ def test_long_columns_widen_the_packed_key():
     levels = list(_ideal_levels([[[] for _ in range(70)]]))
     assert [len(level) for level in levels] == [1] * 71
     assert levels[-1] == {70: 1}
-    # ...and a zigzag chain whose two columns hold 70 and 69 elements
+    # ...and a zigzag chain whose two columns hold 70 and 69 elements; it
+    # is the poset of no reduced word, so only the covers' table counts it
     size = 139
     chain = WordPoset((1, 2) * 69 + (1,), tuple((i, i + 1) for i in range(1, size)))
-    assert count_linear_extensions(chain) == 1
+    for level in _ideal_levels(_poset_needs(chain)):
+        pass
+    assert level == {(70 << 7) + 69: 1}
+    with pytest.raises(DomainError, match="not reduced"):
+        count_linear_extensions(chain)
     assert [len(I) for I in ideals(chain)] == list(range(size + 1))
     assert list(ideals(chain))[-1] == frozenset(range(1, size + 1))
 
@@ -342,8 +381,6 @@ def test_render_dot_deterministic():
     assert 'n4 [label="4", pos="3,' in text
     assert "n5 -> n6;" in text
     assert "style=dotted" not in text
-    guided = render_dot(P, column_guides=True)
-    assert "n3 -> n6 [style=dotted, arrowhead=none, constraint=false];" in guided
 
 
 @settings(deadline=None, max_examples=40)
