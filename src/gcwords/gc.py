@@ -34,9 +34,12 @@ def default_budget() -> int:
     """Largest rank brute-force routes accept by default (env GCWORDS_BUDGET)."""
     text = os.environ.get("GCWORDS_BUDGET", "5")
     try:
-        return int(text)
+        budget = int(text)
+        if budget >= 0:
+            return budget
     except ValueError:
-        raise DomainError(f"GCWORDS_BUDGET must be an integer, not {text!r}") from None
+        pass
+    raise DomainError(f"GCWORDS_BUDGET must be a nonnegative integer, not {text!r}")
 
 
 def classify_gc(P: WordPoset) -> str | None:

@@ -10,17 +10,23 @@ checked once to have the poset as its poset.  The chains, ideals, indices,
 profiles and classification read the crossing table of that word, cached
 beside it.  The contractions, past the same check, read the lexmin word,
 whichever word the poset keeps, because the contracted poset is labeled
-along it.  The
-chains are the rows where wires 1 and n+1 cross.  A contraction drops a
-chain's rows and shifts one side down a column, which deletes wire 1 (A)
-or wire n+1 (D); deletions commute, so the stage after a A- and d
-D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
+along it; when that is the word the poset keeps, they read its cached
+table too.  The chains are the rows where wires 1 and n+1 cross.  A
+contraction drops a chain's rows and shifts one side down a column, which
+deletes wire 1 (A) or wire n+1 (D); deletions commute, so the stage after
+a A- and d D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
 indices are read off the word's crossing table, with no contracted word: a
 crossing of wires i and j lies above the chain of wire lo (resp. hi)
-exactly when that wire crosses both before they cross each other.  The
-`verify` oracles count the indices by definition instead, as the later
-rows repeating a chain row's letter, in words contracted along the suffix
-tree of the deltas.
+exactly when that wire crosses both before they cross each other.  For
+the one stage that the indices, a delta-index step or a classification
+step reads, that test runs over every pair of the stage's wires.  The
+profile needs every stage and fills a table of them by running sums: a
+stage's ind_A is that of the stage without its top wire plus one test per
+inner wire, and its ind_D likewise from the stage without its bottom wire,
+O(n^3) tests in all.  A plan built once per rank then gathers each
+delta's vector from the table in one call.  The `verify` oracles count the indices by definition instead, as
+the later rows repeating a chain row's letter, in words contracted along
+the suffix tree of the deltas.
 
 An extension, the inverse of a contraction up to isomorphism, splices a
 fresh chain into a word that lists the chosen ideal first and shifts one
@@ -31,6 +37,11 @@ along a letter sequence delta over {A, D} yields the delta-index vector.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
+from operator import itemgetter
+from typing import Callable
 
 from .word_poset import WordPoset, _extension, lexmin_word, poset_of_word
 from .wiring import _chain_rows, chains_from_wires
@@ -144,10 +155,12 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
     # the lexmin word, whichever word P was built from: the contracted
-    # poset is labeled along it.  Reading P first checks a copy.
-    P._reading
+    # poset is labeled along it.  Reading P first checks a copy, whose
+    # recorded word is its lexmin word, so its crossing table serves.
+    recorded = P._reading[0]
     w = _ranked(lexmin_word(P), "a contraction")
-    contracted, kept = _contract(w, chains_from_wires(w)[kind == "D"], kind)
+    chains = _chain_rows(w, P._crossing_table) if w == recorded else chains_from_wires(w)
+    contracted, kept = _contract(w, chains[kind == "D"], kind)
     relabel = {P._lexmin[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
@@ -239,26 +252,75 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
 def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     """All 2^(n-1) delta-indices, keyed by delta in the order of
     product("AD").  A suffix of delta with a A's and d D's reaches the stage
-    on wires a+1..n+1-d, so one crossing table gives a triangle of n(n-1)/2
-    stages, and each vector is one entry put in front of its suffix's."""
+    on wires a+1..n+1-d, so the vectors are gathered from one table of the
+    indices of the n(n-1)/2 stages, through a plan shared by every profile
+    of the rank."""
     _ranked(P._reading[0], "a delta-profile")
     return _table_profile(P._crossing_table)
 
 
 def _table_profile(rows: list[list[int]]) -> dict[str, tuple[int, ...]]:
     # full_profile from the crossing table of any word of the class
-    n = len(rows) - 2
-    # vectors[suffix]: a delta's entries for the letters of its suffix; level
-    # m puts one in front, read at the stage (a, m - a) of the suffix's a A's
-    vectors: dict[str, tuple[int, ...]] = {"": ()}
-    for m in range(n - 1):
-        level = [_indices(rows, a + 1, n + 1 - m + a) for a in range(m + 1)]
-        longer = {}
-        for kind in "AD":
-            for suffix, vector in vectors.items():
-                longer[kind + suffix] = (level[suffix.count("A")][kind == "D"],) + vector
-        vectors = longer
-    return vectors
+    table = _stage_table(rows)
+    return {delta: gather(table) for delta, gather in _profile_plan(len(rows) - 2)}
+
+
+def _at(width: int, lo: int, hi: int) -> int:
+    # where the stage on wires lo..hi keeps ind_A in a stage table of width
+    # n + 2; ind_D follows it
+    return 2 * (lo * width + hi)
+
+
+def _stage_table(rows: list[list[int]]) -> list[int]:
+    """_indices(rows, lo, hi) of every stage, flat at _at(n + 2, lo, hi),
+    with 0 for the stages of fewer than three wires.  Adding wire hi to the
+    stage on wires lo..hi-1 adds to ind_A each crossing of hi with an inner
+    wire i that comes after wire lo has crossed both; adding wire lo to the
+    stage on wires lo+1..hi adds to ind_D each crossing of lo with an inner
+    wire i that comes after wire hi has crossed both.  So each stage costs
+    one test per inner wire, O(n^3) for the table, where _indices tests
+    every pair."""
+    width = len(rows)
+    table = [0] * (2 * width * width)
+    for lo in range(width - 3, 0, -1):
+        low, a = rows[lo], 0
+        for hi in range(lo + 2, width):
+            # of the crossings of wires lo, hi and i in pairs, at rows x,
+            # low[i] and high[i], the last counts for ind_A if it is that of
+            # i with hi, for ind_D if it is that of i with lo
+            high, x, d = rows[hi], low[hi], 0
+            for i in range(lo + 1, hi):
+                l, h = low[i], high[i]
+                if l < h:
+                    a += x < h
+                else:
+                    d += x < l
+            at = _at(width, lo, hi)
+            table[at] = a
+            table[at + 1] = table[_at(width, lo + 1, hi) + 1] + d
+    return table
+
+
+@lru_cache(maxsize=8)
+def _profile_plan(n: int) -> tuple[tuple[str, Callable[[list[int]], tuple[int, ...]]], ...]:
+    """Per delta of rank n, in the order of product("AD"), the gather of its
+    vector from a stage table: entry k reads the delta_k index of the stage
+    that delta_{k+1}, ..., delta_{n-1} reach."""
+    width, plan = n + 2, []
+    for letters in product("AD", repeat=n - 1):
+        positions, a, d = [], 0, 0
+        for kind in reversed(letters):
+            positions.append(_at(width, a + 1, n + 1 - d) + (kind == "D"))
+            a, d = (a + 1, d) if kind == "A" else (a, d + 1)
+        plan.append(("".join(letters), _gather(positions[::-1])))
+    return tuple(plan)
+
+
+def _gather(positions: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    # itemgetter of one position returns the bare entry, and of none fails
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda table: tuple(table[p] for p in positions)
 
 
 def format_index_vector(vec: tuple[int, ...]) -> str:

@@ -665,6 +665,56 @@ def check_contraction_laws(n: int = 4) -> Report:
     return _run("contraction_laws", {"n": n}, body)
 
 
+def _flipped(w: Word) -> Word:
+    # the letter flip c -> n+1-c
+    return Word(w.rank, tuple(w.rank + 1 - c for c in w.letters))
+
+
+_FLIP_DELTA = str.maketrans("AD", "DA")
+
+
+def _flipped_delta(delta: str | None) -> str | None:
+    # A and D swapped; None, no GC delta, stays None
+    return None if delta is None else delta.translate(_FLIP_DELTA)
+
+
+def check_mirror_laws(n: int = 5, gc_max: int = 8) -> Report:
+    """The letter flip c -> n+1-c (conjugation by w0, the diagram
+    automorphism of type A_n) maps commutation classes to classes and swaps
+    wires 1 and n+1, hence the ascending and descending chains.  So the
+    flip of the GC poset of delta is the GC poset of flip(delta), the delta
+    with A and D swapped, checked for every delta at ranks 2..gc_max; and
+    on every class of rank 1..n, the profile of the flipped class at
+    flip(delta) is the class's profile at delta and its classification is
+    the flipped one.  The flipped class is read through the flipped word, a
+    second word of its class for the profile route."""
+
+    def body():
+        for m in range(2, gc_max + 1):
+            for letters in product("AD", repeat=m - 1):
+                delta = "".join(letters)
+                flipped = _flipped(lexmin_word(gc_poset_of_delta(delta)))
+                if canonical_form(poset_of_word(flipped)) != gc_poset_of_delta(
+                    _flipped_delta(delta)
+                ):
+                    return False, {"delta": delta, "word": str(flipped),
+                                   "reason": "flip of the GC poset is not the GC poset of the flip"}
+        for m in range(1, n + 1):
+            for P in enumerate_commutation_classes(m):
+                w = lexmin_word(P)
+                F = poset_of_word(_flipped(w))
+                profile, mirrored = full_profile(P), full_profile(F)
+                for delta, vector in profile.items():
+                    if mirrored[_flipped_delta(delta)] != vector:
+                        return False, {"word": str(w), "delta": delta,
+                                       "reason": "profile of the flip differs at the flipped delta"}
+                if classify_gc(F) != _flipped_delta(classify_gc(P)):
+                    return False, {"word": str(w), "reason": "classification of the flip"}
+        return True, None
+
+    return _run("mirror_laws", {"n": n, "gc_max": gc_max}, body)
+
+
 def projection_key(w: Word) -> tuple[tuple[int, ...], ...]:
     """The restrictions of w to each letter pair {i, i+1}.
 
@@ -738,6 +788,7 @@ ALL_CHECKS: dict[str, Callable[..., Report]] = {
     "class_poset_equivalence": check_class_poset_equivalence,
     "injectivity_theorem": check_injectivity_theorem,
     "contraction_laws": check_contraction_laws,
+    "mirror_laws": check_mirror_laws,
     "table1": check_table1,
 }
 

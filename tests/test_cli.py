@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gcwords
-from gcwords import verify
+from gcwords import cli, verify
 from gcwords.cli import main
 from gcwords.verify import ALL_CHECKS, Report
+from gcwords.word_poset import enumerate_commutation_classes, lexmin_word
 from gcwords.words import enumerate_reduced_words, longest_element
 
 
@@ -87,6 +88,25 @@ def test_words_text_is_the_word_route_for_all_of_s1_to_s5(capsys):
             assert (code, err) == (0, "")
             assert out == "".join(f"{w}\n" for w in enumerate_reduced_words(p)), target
     assert run(capsys, "words", "[1]")[:2] == (0, "\n")
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ((), "f5417dc4de12f6ec584f29b5123cc83c50bf5401a64a4ffa0c17f91c34c5cbdd"),
+    (("--format", "json"), "8bf9e306f7fe38093cd14c03659b867207ecb5d76361629fe9f995e066dfcb31"),
+], ids=["plain", "json"])
+def test_profile_golden_on_every_class_to_rank_5(monkeypatch, fmt, digest):
+    # the lexmin word of each of the 981 classes of ranks 1..5, in the order
+    # of enumerate_commutation_classes; the digests pin the output of the
+    # profile route that counted every pair of every stage.  One parser
+    # serves every call, since building it costs more than the profile.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for n in range(1, 6):
+            for P in enumerate_commutation_classes(n):
+                assert main(["profile", str(lexmin_word(P)), *fmt]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_classes(capsys):
@@ -267,6 +287,9 @@ def _run_cli(*argv, env_extra=None):
         (("classify", "0,0"), None),
         # past the --force budget: refused before w0 is built
         (("words", "w0", "99999999999999999999", "--force"), None),
+        # a negative budget, which would leave the gc-table class columns empty
+        (("classes", "1"), {"GCWORDS_BUDGET": "-3"}),
+        (("gc-table", "2"), {"GCWORDS_BUDGET": "-3"}),
     ],
 )
 def test_bad_integers_exit_1_without_traceback(argv, env_extra):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gcwords.gc import (
     BudgetExceeded,
     classify_gc,
+    default_budget,
     gc_direct,
     gc_poset_of_delta,
     gc_recurrence,
@@ -66,6 +67,20 @@ def test_zero_vector_characterizes_gc(classes_of_rank):
                 assert zeros == []
             else:
                 assert zeros == [delta]
+
+
+@pytest.mark.parametrize("text", ["-3", "-1", "abc", "2.5", ""])
+def test_default_budget_rejects_all_but_nonnegative_integers(monkeypatch, text):
+    monkeypatch.setenv("GCWORDS_BUDGET", text)
+    with pytest.raises(DomainError, match="^GCWORDS_BUDGET must be a nonnegative integer"):
+        default_budget()
+
+
+def test_default_budget_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("GCWORDS_BUDGET", raising=False)
+    assert default_budget() == 5
+    monkeypatch.setenv("GCWORDS_BUDGET", "0")
+    assert default_budget() == 0
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from gcwords.word_poset import (
     poset_of_word,
     word_of_extension,
 )
-from gcwords.verify import _stage, _unique_chain, ideals, suffix_tree_profile
+from gcwords.verify import _flipped, _stage, _unique_chain, ideals, suffix_tree_profile
 from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
@@ -281,9 +281,49 @@ def test_full_profile_shapes():
     assert set(prof) == {"AA", "AD", "DA", "DD"}
     assert prof["DD"] == (0, 0)
     assert prof["AA"] == delta_index(P_STANDARD, "AA")
+    # ranks 1 and 2 gather zero and one position: a bare itemgetter would
+    # fail on none and return a bare int on one
     assert full_profile(poset_of_word(parse_word("1"))) == {"": ()}
+    for text, profile in (("1,2,1", {"A": (1,), "D": (0,)}), ("2,1,2", {"A": (0,), "D": (1,)})):
+        got = full_profile(poset_of_word(parse_word(text)))
+        assert list(got.items()) == list(profile.items())
+        assert all(type(vector) is tuple for vector in got.values())
     with pytest.raises(DomainError, match="rank >= 1"):
         full_profile(poset_of_word(Word(0, ())))
+
+
+def assert_stage_table_matches_single_stages(rows):
+    width = len(rows)
+    table = indices._stage_table(rows)
+    assert len(table) == 2 * width * width
+    for lo in range(1, width):
+        for hi in range(lo + 1, width):
+            at = indices._at(width, lo, hi)
+            assert tuple(table[at : at + 2]) == indices._indices(rows, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stage_table_matches_single_stages_on_every_class(classes_of_rank, n):
+    for P in classes_of_rank(n):
+        assert_stage_table_matches_single_stages(P._crossing_table)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(min_value=6, max_value=8), seed=st.integers(min_value=0, max_value=2**32))
+def test_stage_table_matches_single_stages_on_random_words(n, seed):
+    assert_stage_table_matches_single_stages(wiring._crossings(random_w0_word(n, random.Random(seed))))
+
+
+def test_profile_plan_is_built_once_per_rank():
+    indices._profile_plan.cache_clear()
+    profiles = [[full_profile(poset_of_word(random_w0_word(n, random.Random(seed))))
+                 for seed in range(5)] for n in (4, 5)]
+    info = indices._profile_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 8)
+    # every profile of a rank shares its key strings with the plan
+    for first, *later in profiles:
+        for profile in later:
+            assert all(a is b for a, b in zip(first, profile))
 
 
 def test_full_profile_matches_delta_index(classes_of_rank):
@@ -315,10 +355,6 @@ def test_profiles_constant_on_classes_and_distinct(words_of_rank):
             assert seen.setdefault(key, prof) == prof
         profiles = list(seen.values())
         assert len(set(profiles)) == len(profiles)
-
-
-def _flipped(w):
-    return Word(w.rank, tuple(w.rank + 1 - i for i in w.letters))
 
 
 def test_column_flip_swaps_indices(classes_of_rank):
@@ -491,6 +527,18 @@ def test_contractions_skip_the_check_on_word_posets(calls, contract):
     # lexmin word and builds the contracted poset, and no second poset
     contract(poset_of_word(standard_word(5)))
     assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _contract=1)
+
+
+def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
+    # a copy reads its lexmin word, the word the contractions read too, so
+    # both contractions and the profile share the copy's one table.  The
+    # entry check and each contraction ask for the lexmin extension, which
+    # the poset caches; the check builds one poset, each contraction one.
+    P = copy_of(poset_of_word(random_w0_word(5, random.Random(7))))
+    contract_A(P)
+    contract_D(P)
+    full_profile(P)
+    assert calls == Counter(lexmin_extension=3, poset_of_word=3, _crossings=1, _contract=2)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])

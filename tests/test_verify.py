@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,14 @@ from gcwords.verify import (
     check_class_poset_equivalence,
     check_contraction_laws,
     check_injectivity_theorem,
+    check_mirror_laws,
     check_table1,
     check_tits_connectivity,
     count_gc_words_brute,
     projection_key,
     run_checks,
 )
+from gcwords.indices import ind_A
 from gcwords.word_poset import canonical_form, poset_of_word
 from gcwords.words import (
     DomainError,
@@ -46,6 +49,30 @@ def test_injectivity_small():
 
 def test_contraction_laws_small():
     assert check_contraction_laws(3).passed
+
+
+def test_mirror_laws():
+    report = check_mirror_laws()
+    assert report.passed and report.counterexample is None
+    assert report.params == {"n": 5, "gc_max": 8}
+
+
+def test_mirror_laws_fail_on_routes_blind_to_the_flip(monkeypatch):
+    from gcwords import verify
+
+    for name, broken, reason in (
+        ("gc_poset_of_delta", lambda delta: poset_of_word(standard_word(len(delta) + 1)),
+         "flip of the GC poset is not the GC poset of the flip"),
+        ("full_profile", lambda P: {"".join(d): (ind_A(P),) * (P.rank - 1)
+                                    for d in product("AD", repeat=P.rank - 1)},
+         "profile of the flip differs at the flipped delta"),
+        ("classify_gc", lambda P: "A" * (P.rank - 1), "classification of the flip"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, broken)
+            report = check_mirror_laws(3, gc_max=3)
+        assert not report.passed
+        assert report.counterexample["reason"] == reason
 
 
 def test_table1_small():
@@ -152,5 +179,6 @@ def test_run_checks_selection():
         "class_poset_equivalence",
         "injectivity_theorem",
         "contraction_laws",
+        "mirror_laws",
         "table1",
     }
