@@ -4,29 +4,29 @@ Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
 function reads one word of the poset's class, its `_reading`, and then
-works on letters alone: the word the poset was built from, with the
-element at each row, or for a poset that keeps no word its lexmin word,
-checked once to have the poset as its poset.  The chains, ideals, indices,
-profiles and classification read the crossing table of that word, cached
-beside it.  The contractions, past the same check, read the lexmin word,
-whichever word the poset keeps, because the contracted poset is labeled
-along it; when that is the word the poset keeps, they read its cached
-table too.  The chains are the rows where wires 1 and n+1 cross.  A
-contraction drops a chain's rows and shifts one side down a column, which
-deletes wire 1 (A) or wire n+1 (D); deletions commute, so the stage after
-a A- and d D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its
-indices are read off the word's crossing table, with no contracted word: a
-crossing of wires i and j lies above the chain of wire lo (resp. hi)
-exactly when that wire crosses both before they cross each other.  For
-the one stage that the indices, a delta-index step or a classification
-step reads, that test runs over every pair of the stage's wires.  The
-profile needs every stage and fills a table of them by running sums: a
-stage's ind_A is that of the stage without its top wire plus one test per
-inner wire, and its ind_D likewise from the stage without its bottom wire,
-O(n^3) tests in all.  A plan built once per rank then gathers each
-delta's vector from the table in one call.  The `verify` oracles count the indices by definition instead, as
-the later rows repeating a chain row's letter, in words contracted along
-the suffix tree of the deltas.
+works on letters alone: the word the poset was built from, with the element
+at each row, or for a poset that keeps no word its lexmin word, checked
+once to have the poset as its poset.  The chains, ideals, indices, profiles
+and classification read the crossing table of that word, cached beside it.
+The contractions, past the same check, read the lexmin word, whichever word
+the poset keeps, because the contracted poset is labeled along it; they
+take the chain off the cached table and find its elements in the lexmin
+word.  The chains are the rows where wires 1 and n+1 cross.  A contraction
+drops a chain's rows and shifts one side down a column, which deletes wire
+1 (A) or wire n+1 (D); deletions commute, so the stage after a A- and d
+D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its indices are
+read off the word's crossing table, with no contracted word: a crossing of
+wires i and j lies above the chain of wire lo (resp. hi) exactly when that
+wire crosses both before they cross each other.  For the one stage that the
+indices, a delta-index step or a classification step reads, that test runs
+over every pair of the stage's wires.  The profile needs every stage and
+fills a table of them by running sums: a stage's ind_A is that of the stage
+without its top wire plus one test per inner wire, and its ind_D likewise
+from the stage without its bottom wire, O(n^3) tests in all.  A plan built
+once per rank then gathers each delta's vector from the table in one call.
+The `verify` oracles count the indices by definition instead, as the later
+rows repeating a chain row's letter, in words contracted along the suffix
+tree of the deltas.
 
 An extension, the inverse of a contraction up to isomorphism, splices a
 fresh chain into a word that lists the chosen ideal first and shifts one
@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .word_poset import WordPoset, _extension, lexmin_word, poset_of_word
-from .wiring import _chain_rows, chains_from_wires
+from .wiring import _chain_rows
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
 
 
@@ -155,12 +155,13 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
     # the lexmin word, whichever word P was built from: the contracted
-    # poset is labeled along it.  Reading P first checks a copy, whose
-    # recorded word is its lexmin word, so its crossing table serves.
-    recorded = P._reading[0]
-    w = _ranked(lexmin_word(P), "a contraction")
-    chains = _chain_rows(w, P._crossing_table) if w == recorded else chains_from_wires(w)
-    contracted, kept = _contract(w, chains[kind == "D"], kind)
+    # poset is labeled along it.  Reading P first checks a copy.
+    _ranked(P._reading[0], "a contraction")
+    w = lexmin_word(P)
+    # the chain is the poset's: its rows in w are those of its elements in
+    # the lexmin extension
+    row = {k: r for r, k in enumerate(P._lexmin, start=1)}
+    contracted, kept = _contract(w, tuple(sorted(row[k] for k in _chain(P, kind))), kind)
     relabel = {P._lexmin[r - 1]: new for new, r in enumerate(kept, start=1)}
     return poset_of_word(contracted), relabel
 
@@ -301,6 +302,8 @@ def _stage_table(rows: list[list[int]]) -> list[int]:
     return table
 
 
+# a plan of rank 8 holds 28 KiB and one of rank 12 about 0.6 MiB, about
+# twice a profile of its rank
 @lru_cache(maxsize=8)
 def _profile_plan(n: int) -> tuple[tuple[str, Callable[[list[int]], tuple[int, ...]]], ...]:
     """Per delta of rank n, in the order of product("AD"), the gather of its

@@ -678,19 +678,19 @@ def _flipped_delta(delta: str | None) -> str | None:
     return None if delta is None else delta.translate(_FLIP_DELTA)
 
 
-def check_mirror_laws(n: int = 5, gc_max: int = 8) -> Report:
+def check_mirror_laws(n: int = 5) -> Report:
     """The letter flip c -> n+1-c (conjugation by w0, the diagram
     automorphism of type A_n) maps commutation classes to classes and swaps
     wires 1 and n+1, hence the ascending and descending chains.  So the
     flip of the GC poset of delta is the GC poset of flip(delta), the delta
-    with A and D swapped, checked for every delta at ranks 2..gc_max; and
+    with A and D swapped, checked for every delta at ranks 2..8; and
     on every class of rank 1..n, the profile of the flipped class at
     flip(delta) is the class's profile at delta and its classification is
     the flipped one.  The flipped class is read through the flipped word, a
     second word of its class for the profile route."""
 
     def body():
-        for m in range(2, gc_max + 1):
+        for m in range(2, 9):
             for letters in product("AD", repeat=m - 1):
                 delta = "".join(letters)
                 flipped = _flipped(lexmin_word(gc_poset_of_delta(delta)))
@@ -712,7 +712,7 @@ def check_mirror_laws(n: int = 5, gc_max: int = 8) -> Report:
                     return False, {"word": str(w), "reason": "classification of the flip"}
         return True, None
 
-    return _run("mirror_laws", {"n": n, "gc_max": gc_max}, body)
+    return _run("mirror_laws", {"n": n}, body)
 
 
 def projection_key(w: Word) -> tuple[tuple[int, ...], ...]:

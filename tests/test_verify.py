@@ -54,7 +54,7 @@ def test_contraction_laws_small():
 def test_mirror_laws():
     report = check_mirror_laws()
     assert report.passed and report.counterexample is None
-    assert report.params == {"n": 5, "gc_max": 8}
+    assert report.params == {"n": 5}
 
 
 def test_mirror_laws_fail_on_routes_blind_to_the_flip(monkeypatch):
@@ -70,7 +70,7 @@ def test_mirror_laws_fail_on_routes_blind_to_the_flip(monkeypatch):
     ):
         with monkeypatch.context() as patch:
             patch.setattr(verify, name, broken)
-            report = check_mirror_laws(3, gc_max=3)
+            report = check_mirror_laws(3)
         assert not report.passed
         assert report.counterexample["reason"] == reason
 
