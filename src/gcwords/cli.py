@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 from . import gc, wiring, word_poset, words
 from .indices import delta_index, format_index_vector, full_profile, ind_A, ind_D
@@ -200,6 +201,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+# built on the first call, not at import, and kept: building it costs more
+# than most commands, and parse_args fills a fresh namespace on every call
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcwords",

@@ -16,7 +16,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .indices import _indices, validate_delta
+from .indices import validate_delta
+from .wiring import _at
 from .word_poset import (
     WordPoset,
     _canonical_poset_of_word,
@@ -54,16 +55,13 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
-    return _classify_table(P._crossing_table)
-
-
-def _classify_table(rows: list[list[int]]) -> str | None:
-    # classify_gc from the crossing table of any word of the class; the
-    # stage is wires lo..hi
+    # the stage is wires lo..hi
+    table, width = P._stage_table, P.rank + 2
     letters = []
-    lo, hi = 1, len(rows) - 1
+    lo, hi = 1, width - 1
     while hi - lo > 1:
-        a, d = _indices(rows, lo, hi)
+        at = _at(width, lo, hi)
+        a, d = table[at], table[at + 1]
         if a == 0 and d == 0:
             raise RuntimeError("internal error: both indices vanish above rank 1")
         if a and d:

@@ -6,27 +6,31 @@ letters n..1 column-wise (the descending chain) and a unique chain reading
 function reads one word of the poset's class, its `_reading`, and then
 works on letters alone: the word the poset was built from, with the element
 at each row, or for a poset that keeps no word its lexmin word, checked
-once to have the poset as its poset.  The chains, ideals, indices, profiles
-and classification read the crossing table of that word, cached beside it.
-The contractions, past the same check, read the lexmin word, whichever word
-the poset keeps, because the contracted poset is labeled along it; they
-take the chain off the cached table and find its elements in the lexmin
-word.  The chains are the rows where wires 1 and n+1 cross.  A contraction
-drops a chain's rows and shifts one side down a column, which deletes wire
-1 (A) or wire n+1 (D); deletions commute, so the stage after a A- and d
-D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its indices are
-read off the word's crossing table, with no contracted word: a crossing of
-wires i and j lies above the chain of wire lo (resp. hi) exactly when that
-wire crosses both before they cross each other.  For the one stage that the
-indices, a delta-index step or a classification step reads, that test runs
-over every pair of the stage's wires.  The profile needs every stage and
-fills a table of them by running sums: a stage's ind_A is that of the stage
-without its top wire plus one test per inner wire, and its ind_D likewise
-from the stage without its bottom wire, O(n^3) tests in all.  A plan built
-once per rank then gathers each delta's vector from the table in one call.
+once to have the poset as its poset.  The chains and ideals read the
+crossing table of that word, cached beside it, and the indices, profiles
+and classification the stage table cached beside that.  The contractions,
+past the same check, read the lexmin word, whichever word the poset keeps,
+because the contracted poset is labeled along it; they take the chain off
+the cached crossing table and find its elements in the lexmin word.  The
+chains are the rows where wires 1 and n+1 cross.  A contraction drops a
+chain's rows and shifts one side down a column, which deletes wire 1 (A)
+or wire n+1 (D); deletions commute, so the stage after a A- and d
+D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its indices
+are read off the word's crossing table, with no contracted word: a
+crossing of wires i and j lies above the chain of wire lo (resp. hi)
+exactly when that wire crosses both before they cross each other.  One
+table holds the indices of every stage, filled by running sums
+(`wiring._stage_table`): a stage's ind_A is that of the stage without its
+top wire plus one test per inner wire, and its ind_D likewise from the
+stage without its bottom wire, O(n^3) tests in all.  The poset builds it
+once, and all five index routes read it: ind_A and ind_D the top stage,
+delta_index the stages that `_delta_positions` names, full_profile every
+delta's vector through a plan of those positions built once per rank, and
+classify_gc the greedy walk.
 The `verify` oracles count the indices by definition instead, as the later
 rows repeating a chain row's letter, in words contracted along the suffix
-tree of the deltas.
+tree of the deltas, and one stage at a time by testing every pair of its
+wires.
 
 An extension, the inverse of a contraction up to isomorphism, splices a
 fresh chain into a word that lists the chosen ideal first and shifts one
@@ -44,24 +48,8 @@ from operator import itemgetter
 from typing import Callable
 
 from .word_poset import WordPoset, _extension, lexmin_word, poset_of_word
-from .wiring import _chain_rows
+from .wiring import _at, _chain_rows
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
-
-
-def _indices(rows: list[list[int]], lo: int, hi: int) -> tuple[int, int]:
-    """(ind_A, ind_D) of the stage on wires lo..hi of the crossing table
-    rows: the crossings of two other wires that wire lo (for A) or wire hi
-    (for D) has crossed both of before they cross."""
-    a = d = 0
-    low, high = rows[lo], rows[hi]
-    for i in range(lo, hi):
-        row_i = rows[i]
-        for j in range(i + 1, hi + 1):
-            # a pair holding lo (hi) fails the A (D) test: low[j] (high[i]) is r
-            r = row_i[j]
-            a += low[i] < r and low[j] < r
-            d += high[i] < r and high[j] < r
-    return a, d
 
 
 def _ideal_rows(letters: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
@@ -129,12 +117,12 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
 
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
-    return _indices(P._crossing_table, 1, P.rank + 1)[1]
+    return P._stage_table[_at(P.rank + 2, 1, P.rank + 1) + 1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
-    return _indices(P._crossing_table, 1, P.rank + 1)[0]
+    return P._stage_table[_at(P.rank + 2, 1, P.rank + 1)]
 
 
 def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
@@ -241,13 +229,21 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
-    rows, lo, hi = P._crossing_table, 1, n + 1
-    out = [0] * (n - 1)
-    for k in range(n - 1, 0, -1):
-        kind = delta[k - 1]
-        out[k - 1] = _indices(rows, lo, hi)[kind == "D"]
-        lo, hi = (lo + 1, hi) if kind == "A" else (lo, hi - 1)
-    return tuple(out)
+    table = P._stage_table
+    return tuple(table[p] for p in _delta_positions(n, delta))
+
+
+def _delta_positions(n: int, delta: str) -> list[int]:
+    """Where a stage table of rank n keeps each entry of the delta-index
+    vector: entry k is the delta_k index of the stage on wires a+1..n+1-d
+    that the suffix delta_{k+1}, ..., delta_{n-1}, with a A's and d D's,
+    reaches."""
+    positions, a, d = [0] * len(delta), 0, 0
+    for k in range(len(delta) - 1, -1, -1):
+        kind = delta[k]
+        positions[k] = _at(n + 2, a + 1, n + 1 - d) + (kind == "D")
+        a, d = (a + 1, d) if kind == "A" else (a, d + 1)
+    return positions
 
 
 def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
@@ -257,49 +253,8 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     indices of the n(n-1)/2 stages, through a plan shared by every profile
     of the rank."""
     _ranked(P._reading[0], "a delta-profile")
-    return _table_profile(P._crossing_table)
-
-
-def _table_profile(rows: list[list[int]]) -> dict[str, tuple[int, ...]]:
-    # full_profile from the crossing table of any word of the class
-    table = _stage_table(rows)
-    return {delta: gather(table) for delta, gather in _profile_plan(len(rows) - 2)}
-
-
-def _at(width: int, lo: int, hi: int) -> int:
-    # where the stage on wires lo..hi keeps ind_A in a stage table of width
-    # n + 2; ind_D follows it
-    return 2 * (lo * width + hi)
-
-
-def _stage_table(rows: list[list[int]]) -> list[int]:
-    """_indices(rows, lo, hi) of every stage, flat at _at(n + 2, lo, hi),
-    with 0 for the stages of fewer than three wires.  Adding wire hi to the
-    stage on wires lo..hi-1 adds to ind_A each crossing of hi with an inner
-    wire i that comes after wire lo has crossed both; adding wire lo to the
-    stage on wires lo+1..hi adds to ind_D each crossing of lo with an inner
-    wire i that comes after wire hi has crossed both.  So each stage costs
-    one test per inner wire, O(n^3) for the table, where _indices tests
-    every pair."""
-    width = len(rows)
-    table = [0] * (2 * width * width)
-    for lo in range(width - 3, 0, -1):
-        low, a = rows[lo], 0
-        for hi in range(lo + 2, width):
-            # of the crossings of wires lo, hi and i in pairs, at rows x,
-            # low[i] and high[i], the last counts for ind_A if it is that of
-            # i with hi, for ind_D if it is that of i with lo
-            high, x, d = rows[hi], low[hi], 0
-            for i in range(lo + 1, hi):
-                l, h = low[i], high[i]
-                if l < h:
-                    a += x < h
-                else:
-                    d += x < l
-            at = _at(width, lo, hi)
-            table[at] = a
-            table[at + 1] = table[_at(width, lo + 1, hi) + 1] + d
-    return table
+    table = P._stage_table
+    return {delta: gather(table) for delta, gather in _profile_plan(P.rank)}
 
 
 # a plan of rank 8 holds 28 KiB and one of rank 12 about 0.6 MiB, about
@@ -307,16 +262,9 @@ def _stage_table(rows: list[list[int]]) -> list[int]:
 @lru_cache(maxsize=8)
 def _profile_plan(n: int) -> tuple[tuple[str, Callable[[list[int]], tuple[int, ...]]], ...]:
     """Per delta of rank n, in the order of product("AD"), the gather of its
-    vector from a stage table: entry k reads the delta_k index of the stage
-    that delta_{k+1}, ..., delta_{n-1} reach."""
-    width, plan = n + 2, []
-    for letters in product("AD", repeat=n - 1):
-        positions, a, d = [], 0, 0
-        for kind in reversed(letters):
-            positions.append(_at(width, a + 1, n + 1 - d) + (kind == "D"))
-            a, d = (a + 1, d) if kind == "A" else (a, d + 1)
-        plan.append(("".join(letters), _gather(positions[::-1])))
-    return tuple(plan)
+    vector from a stage table at its _delta_positions."""
+    deltas = ("".join(letters) for letters in product("AD", repeat=n - 1))
+    return tuple((delta, _gather(_delta_positions(n, delta))) for delta in deltas)
 
 
 def _gather(positions: list[int]) -> Callable[[list[int]], tuple[int, ...]]:

@@ -12,9 +12,9 @@ count of reduced words by descents, the stream of all linear extensions
 ideals, the word poset from its definition and from a wiring diagram, the
 shifted-diagram poset behind the tableau-count oracle, the column-chain
 search, the indices by their column-count definition, the suffix-tree
-profile built from them and the 3-move class search.  Of the
-package's modules only the CLI imports this one, and only when its verify
-command runs.
+profile built from them, the pair test of one stage's wires that checks
+the stage table, and the 3-move class search.  Of the package's modules
+only the CLI imports this one, and only when its verify command runs.
 """
 
 from __future__ import annotations
@@ -580,6 +580,24 @@ def _stage(w: Word) -> dict[str, tuple[tuple[int, ...], int]]:
         kind: (rows, sum(letters[r:].count(letters[r - 1]) for r in rows))
         for kind, rows in zip("AD", chains_from_wires(w))
     }
+
+
+def _indices(rows: list[list[int]], lo: int, hi: int) -> tuple[int, int]:
+    """The pair-test oracle of one entry of the stage table: (ind_A, ind_D)
+    of the stage on wires lo..hi of the crossing table rows, as the
+    crossings of two other wires that wire lo (for A) or wire hi (for D)
+    has crossed both of before they cross, testing every pair of the
+    stage's wires instead of summing one stage into the next."""
+    a = d = 0
+    low, high = rows[lo], rows[hi]
+    for i in range(lo, hi):
+        row_i = rows[i]
+        for j in range(i + 1, hi + 1):
+            # a pair holding lo (hi) fails the A (D) test: low[j] (high[i]) is r
+            r = row_i[j]
+            a += low[i] < r and low[j] < r
+            d += high[i] < r and high[j] < r
+    return a, d
 
 
 def suffix_tree_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:

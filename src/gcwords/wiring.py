@@ -6,7 +6,10 @@ a reduced word of the longest element, wire j ends at point n+2-j and any
 two wires cross exactly once.  One pass records the row of each crossing
 in a table, the production trace behind the chains and the indices: the
 crossings met by wire 1 (resp. wire n+1) read the letters 1..n (resp.
-n..1) and locate the ascending (resp. descending) chain of the word poset.
+n..1) and locate the ascending (resp. descending) chain of the word poset,
+and running sums over that table fill the stage table, the indices of
+every sub-arrangement on consecutive wires, from which every index,
+delta-index vector, profile and classification is read.
 The order on crossings by paths along the wires, which rebuilds the whole
 word poset from a diagram, is an oracle in `verify`.
 """
@@ -64,6 +67,44 @@ def _crossings(w: Word) -> list[list[int]]:
         else:
             return rows
     raise DomainError(f"{w} is not a reduced word of the longest element")
+
+
+def _at(width: int, lo: int, hi: int) -> int:
+    # where the stage on wires lo..hi keeps ind_A in a stage table of width
+    # n + 2; ind_D follows it
+    return 2 * (lo * width + hi)
+
+
+def _stage_table(rows: list[list[int]]) -> list[int]:
+    """(ind_A, ind_D) of the stage on wires lo..hi of the crossing table
+    rows, for every stage, flat at _at(n + 2, lo, hi), with 0 for the stages
+    of fewer than three wires.  A stage's ind_A (ind_D) counts the crossings
+    of two other wires that wire lo (hi) has crossed both of before they
+    cross.  Adding wire hi to the stage on wires lo..hi-1 adds to ind_A
+    each crossing of hi with an inner wire i that comes after wire lo has
+    crossed both; adding wire lo to the stage on wires lo+1..hi adds to
+    ind_D each crossing of lo with an inner wire i that comes after wire hi
+    has crossed both.  So each stage costs one test per inner wire, O(n^3)
+    for the table."""
+    width = len(rows)
+    table = [0] * (2 * width * width)
+    for lo in range(width - 3, 0, -1):
+        low, a = rows[lo], 0
+        for hi in range(lo + 2, width):
+            # of the crossings of wires lo, hi and i in pairs, at rows x,
+            # low[i] and high[i], the last counts for ind_A if it is that of
+            # i with hi, for ind_D if it is that of i with lo
+            high, x, d = rows[hi], low[hi], 0
+            for i in range(lo + 1, hi):
+                l, h = low[i], high[i]
+                if l < h:
+                    a += x < h
+                else:
+                    d += x < l
+            at = _at(width, lo, hi)
+            table[at] = a
+            table[at + 1] = table[_at(width, lo + 1, hi) + 1] + d
+    return table
 
 
 def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -19,10 +19,11 @@ of a class word) keeps that word with the element at each of its
 positions; any other poset, a copy of one of those included, reads its
 lexmin word, once the poset is checked to be that word's poset.  The
 column chains, the canonical form, the extension count and the Hasse
-diagram read it, and so do the chain, index, ideal, profile and
-classification routes, through the crossing table cached beside it: their
-answers are the same on every word of the class.  The contractions label
-their results along the lexmin word.
+diagram read it.  The chain, ideal and contraction routes read the
+crossing table cached beside it, and the index, profile and classification
+routes the one stage table cached beside that: their answers are the same
+on every word of the class.  The contractions label their results along
+the lexmin word.
 
 The strict order `less` is answered from the up-set bitmasks (one int per
 element), so the sizes handled here (l <= 36 at rank 8) cost nothing.
@@ -37,7 +38,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterator, Sequence
 
-from .wiring import _crossings
+from .wiring import _crossings, _stage_table
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
 
@@ -125,10 +126,17 @@ class WordPoset:
     @cached_property
     def _crossing_table(self) -> list[list[int]]:
         """The crossing table of the word in _reading (`wiring._crossings`),
-        which the chain, index, profile and classification routes read.
+        which the chain, ideal, contraction and extension routes read.
         Raises, uncached, unless that word is a reduced word of the
         longest element."""
         return _crossings(self._reading[0])
+
+    @cached_property
+    def _stage_table(self) -> list[int]:
+        """The stage table of the crossing table (`wiring._stage_table`),
+        which the index, delta-index, profile and classification routes
+        read.  Raises, uncached, as _crossing_table does."""
+        return _stage_table(self._crossing_table)
 
     def less(self, x: int, y: int) -> bool:
         """Strict order: x < y in the poset."""

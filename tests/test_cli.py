@@ -94,13 +94,10 @@ def test_words_text_is_the_word_route_for_all_of_s1_to_s5(capsys):
     ((), "f5417dc4de12f6ec584f29b5123cc83c50bf5401a64a4ffa0c17f91c34c5cbdd"),
     (("--format", "json"), "8bf9e306f7fe38093cd14c03659b867207ecb5d76361629fe9f995e066dfcb31"),
 ], ids=["plain", "json"])
-def test_profile_golden_on_every_class_to_rank_5(monkeypatch, fmt, digest):
+def test_profile_golden_on_every_class_to_rank_5(fmt, digest):
     # the lexmin word of each of the 981 classes of ranks 1..5, in the order
     # of enumerate_commutation_classes; the digests pin the output of the
-    # profile route that counted every pair of every stage.  One parser
-    # serves every call, since building it costs more than the profile.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    # profile route that counted every pair of every stage
     out = io.StringIO()
     with redirect_stdout(out):
         for n in range(1, 6):
@@ -229,6 +226,22 @@ def test_budget_refusal_and_force(capsys, monkeypatch):
     assert code == 1 and "budget" in err
     code, out, _ = run(capsys, "words", "w0", "3", "--force")
     assert code == 0 and len(out.splitlines()) == 16
+
+
+def test_cached_parser_carries_no_option_over(capsys, monkeypatch):
+    # main reuses one parser; each call must see only its own options
+    monkeypatch.delenv("GCWORDS_BUDGET", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    word = "1,2,1,3,2,1"
+    code, out, _ = run(capsys, "profile", word, "--format", "json")
+    assert code == 0 and json.loads(out) == {"AA": [1, 3], "AD": [1, 0], "DA": [0, 3], "DD": [0, 0]}
+    code, out, _ = run(capsys, "profile", word)
+    assert (code, out) == (0, "AA 1,3\nAD 1,0\nDA 0,3\nDD 0,0\n")
+    # a rank-6 permutation with one reduced word: allowed only under --force
+    target = "[2,1,3,4,5,6,7]"
+    assert run(capsys, "words", target, "--force") == (0, "1\n", "")
+    code, out, err = run(capsys, "words", target)
+    assert (code, out) == (1, "") and "pass --force" in err
 
 
 def test_gc_table_negative_is_a_domain_error(capsys):

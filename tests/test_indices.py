@@ -35,7 +35,7 @@ from gcwords.word_poset import (
     poset_of_word,
     word_of_extension,
 )
-from gcwords.verify import _flipped, _stage, _unique_chain, ideals, suffix_tree_profile
+from gcwords.verify import _flipped, _indices, _stage, _unique_chain, ideals, suffix_tree_profile
 from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
@@ -293,13 +293,14 @@ def test_full_profile_shapes():
 
 
 def assert_stage_table_matches_single_stages(rows):
+    # the running sums against the pair test of each stage on its own
     width = len(rows)
-    table = indices._stage_table(rows)
+    table = wiring._stage_table(rows)
     assert len(table) == 2 * width * width
     for lo in range(1, width):
         for hi in range(lo + 1, width):
-            at = indices._at(width, lo, hi)
-            assert tuple(table[at : at + 2]) == indices._indices(rows, lo, hi), (lo, hi)
+            at = wiring._at(width, lo, hi)
+            assert tuple(table[at : at + 2]) == _indices(rows, lo, hi), (lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -443,20 +444,21 @@ def random_extension(P, rng):
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(min_value=2, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
 def test_word_walks_read_any_word_of_the_class(n, seed):
-    # P keeps the word of its canonical labels; the crossing table of any
-    # other word of the class must give the same answers
+    # P keeps the word of its canonical labels and Q another word of the
+    # class; the stage table of each word must give the same answers
     rng = random.Random(seed)
     P = canonical_form(poset_of_word(random_w0_word(n, rng)))
-    rows = wiring._crossings(word_of_extension(P, random_extension(P, rng)))
-    assert indices._table_profile(rows) == full_profile(P)
-    assert gc._classify_table(rows) == classify_gc(P)
+    Q = poset_of_word(word_of_extension(P, random_extension(P, rng)))
+    delta = "".join(rng.choice("AD") for _ in range(n - 1))
+    for route in (full_profile, classify_gc, ind_A, ind_D, lambda R: delta_index(R, delta)):
+        assert route(Q) == route(P)
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls of the lexmin extension, of poset_of_word, of the
-    crossing table and of the contraction, under every name the package
-    reaches them by."""
+    crossing table, of the stage table and of the contraction, under every
+    name the package reaches them by."""
     counter = Counter()
 
     def counting(name, real):
@@ -470,6 +472,7 @@ def calls(monkeypatch):
         ("lexmin_extension", word_poset.lexmin_extension),
         ("poset_of_word", word_poset.poset_of_word),
         ("_crossings", wiring._crossings),
+        ("_stage_table", wiring._stage_table),
         ("_contract", indices._contract),
     ):
         wrapper = counting(name, real)
@@ -480,10 +483,12 @@ def calls(monkeypatch):
 
 
 # a poset built from a word reads that word: no lexmin word, no second
-# poset, one crossing table, no contracted word
-WORD_TRACE = Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _contract=0)
+# poset, one crossing table and one stage table, no contracted word
+WORD_TRACE = Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _stage_table=1,
+                     _contract=0)
 # a copy reads its lexmin word, checked against a second poset
-ONE_TRACE = Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _contract=0)
+ONE_TRACE = Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
+                    _contract=0)
 
 
 def copy_of(P):
@@ -508,16 +513,19 @@ def test_delta_index_builds_one_poset(calls, delta):
 def test_public_calls_share_one_entry_check(calls):
     # a poset built from a word needs no entry check; a copy checks its
     # lexmin word once and caches it, so later calls skip the check.  Each
-    # poset builds one crossing table, which all five routes read.
+    # poset builds one crossing table, which the chains read, and one stage
+    # table, which the five index routes read, full_profile twice included.
     P = poset_of_word(random_w0_word(5, random.Random(5)))
     for Q, checks, tables in ((P, 0, 1), (copy_of(P), 1, 2)):
         classify_gc(Q)
         full_profile(Q)
+        full_profile(Q)
         delta_index(Q, "ADDA")
         ind_A(Q)
+        ind_D(Q)
         ascending_chain(Q)
         assert calls["lexmin_extension"] == calls["poset_of_word"] == checks
-        assert calls["_crossings"] == tables
+        assert calls["_crossings"] == calls["_stage_table"] == tables
 
 
 @pytest.mark.parametrize("contract", [contract_A_with_map, contract_D_with_map],
@@ -526,7 +534,8 @@ def test_contractions_skip_the_check_on_word_posets(calls, contract):
     # the recorded word proves P a word poset: the contraction reads the
     # lexmin word and builds the contracted poset, and no second poset
     contract(poset_of_word(standard_word(5)))
-    assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _contract=1)
+    assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=0,
+                            _contract=1)
 
 
 def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
@@ -538,7 +547,8 @@ def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
     contract_A(P)
     contract_D(P)
     full_profile(P)
-    assert calls == Counter(lexmin_extension=3, poset_of_word=3, _crossings=1, _contract=2)
+    assert calls == Counter(lexmin_extension=3, poset_of_word=3, _crossings=1, _stage_table=1,
+                            _contract=2)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])

@@ -58,8 +58,8 @@ def _names(node):
 
 
 def test_only_indices_and_verify_reach_the_contraction_rule():
-    # the other modules read their indices off the crossing table through
-    # indices._indices; contracted words stay behind indices and its oracle
+    # the other modules read their indices off the poset's cached stage
+    # table; contracted words stay behind indices and its oracle
     users = {
         path.stem
         for path in MODULES
@@ -67,6 +67,19 @@ def test_only_indices_and_verify_reach_the_contraction_rule():
         if {"_contract", "_stage"} & set(_names(node))
     }
     assert users == {"indices", "verify"}
+
+
+def test_only_verify_reaches_the_pair_test():
+    # every index route reads the poset's one stage table; the pair test of
+    # a stage's wires is the oracle that checks that table, and a second
+    # index route through it must not come back
+    users = {
+        path.stem
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "_indices" in set(_names(node))
+    }
+    assert users == {"verify"}
 
 
 def test_importing_the_cli_leaves_verify_unloaded():
