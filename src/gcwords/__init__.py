@@ -30,11 +30,7 @@ from .word_poset import (
     lexmin_word,
     poset_of_word,
 )
-from .wiring import (
-    WiringDiagram,
-    chains_from_wires,
-    wiring_of_word,
-)
+from .wiring import chains_from_wires
 from .indices import (
     ascending_chain,
     contract_A,

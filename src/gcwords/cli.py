@@ -128,11 +128,11 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_wiring(args) -> int:
-    diagram = wiring.wiring_of_word(words.parse_word(args.word))
+    w = words.parse_word(args.word)
     if args.dot:
-        _emit(wiring.render_dot(diagram), args)
+        _emit(wiring.render_dot(w), args)
     else:
-        _emit(wiring.render_ascii(diagram), args)
+        _emit(wiring.render_ascii(w), args)
     return 0
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .indices import validate_delta
+from .indices import _ranked, validate_delta
 from .wiring import _at
 from .word_poset import (
     WordPoset,
@@ -44,7 +44,8 @@ def default_budget() -> int:
 
 
 def classify_gc(P: WordPoset) -> str | None:
-    """The unique delta with an all-zero index vector, or None.
+    """The unique delta with an all-zero index vector, or None.  Rank 0
+    has no delta and raises, as delta_index does.
 
     Greedy from the top rank: at each stage at most one of the two indices
     is zero (the top elements would otherwise have to form two opposite
@@ -55,6 +56,7 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
+    _ranked(P._reading[0], "a classification")
     # the stage is wires lo..hi
     table, width = P._stage_table, P.rank + 2
     letters = []

@@ -7,14 +7,16 @@ the command line.  The verdict payload is deterministic; elapsed_ms is the
 only field that varies between runs.
 
 The slow independent routes live here, off the production modules: the
+strict order `less` by down-set masks and the ideal test `is_ideal`, the
 count of reduced words by descents, the stream of all linear extensions
 (and with it the words of a class and the GC words), the list of all
-ideals, the word poset from its definition and from a wiring diagram, the
-shifted-diagram poset behind the tableau-count oracle, the column-chain
-search, the indices by their column-count definition, the suffix-tree
-profile built from them, the pair test of one stage's wires that checks
-the stage table, and the 3-move class search.  Of the package's modules
-only the CLI imports this one, and only when its verify command runs.
+ideals, the word poset from its definition and from the wires of a word's
+diagram, the shifted-diagram poset behind the tableau-count oracle, the
+column-chain search, the indices by their column-count definition, the
+suffix-tree profile built from them, the pair test of one stage's wires
+that checks the stage table, and the 3-move class search.  Of the
+package's modules only the CLI imports this one, and only when its verify
+command runs.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .indices import (
     full_profile,
     ind_D,
 )
-from .wiring import WiringDiagram, chains_from_wires
+from .wiring import chains_from_wires, wires
 from .word_poset import (
     WordPoset,
     _extension,
@@ -61,7 +63,6 @@ from .word_poset import (
     count_commutation_classes,
     count_linear_extensions,
     enumerate_commutation_classes,
-    is_ideal,
     is_isomorphic,
     lexmin_word,
     poset_of_word,
@@ -183,7 +184,8 @@ def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
 
 
 def _down_masks(P: WordPoset) -> tuple[int, ...]:
-    """down[k-1] has bit j-1 set iff j < k in the poset."""
+    """down[k-1] has bit j-1 set iff j < k in the poset: the order oracle,
+    one int per element.  Raises if the covers hold a cycle."""
     down = [0] * P.size
     for k in P._lexmin:
         mask = 0
@@ -191,6 +193,16 @@ def _down_masks(P: WordPoset) -> tuple[int, ...]:
             mask |= down[j - 1] | (1 << (j - 1))
         down[k - 1] = mask
     return tuple(down)
+
+
+def less(P: WordPoset, x: int, y: int) -> bool:
+    """Strict order: x < y in P."""
+    return bool(_down_masks(P)[y - 1] >> (x - 1) & 1)
+
+
+def is_ideal(P: WordPoset, members: frozenset) -> bool:
+    """Whether members is closed downward in P."""
+    return all(x in members for x, y in P.covers if y in members)
 
 
 def linear_extensions(P: WordPoset) -> Iterator[tuple[int, ...]]:
@@ -244,12 +256,13 @@ def _lexmin_chains(P: WordPoset) -> list[list[int]]:
     """The column chains, bottom to top, grouped along the lexmin extension
     (any linear extension meets a chain bottom to top), not along the word
     the production routes read; raises unless each column is a chain."""
+    down = _down_masks(P)
     groups: dict[int, list[int]] = {}
     for k in P._lexmin:
         groups.setdefault(P.columns[k - 1], []).append(k)
     for col, chain in groups.items():
         for a, b in zip(chain, chain[1:]):
-            if not P.less(a, b):
+            if not down[b - 1] >> (a - 1) & 1:
                 raise DomainError(f"column {col} is not a chain: {a} and {b} incomparable")
     return [groups[col] for col in sorted(groups)]
 
@@ -273,16 +286,16 @@ def ideals(P: WordPoset) -> Iterator[frozenset]:
             yield frozenset(k for chain, c in zip(chains, counts_of(key)) for k in chain[:c])
 
 
-def poset_of_wiring(diagram: WiringDiagram) -> WordPoset:
-    """Order the crossings by downward paths: a crossing precedes every later
-    crossing on either of its wires, transitively.  For the diagram of a
-    reduced word this is the word poset (elements = rows)."""
-    below = [0] * len(diagram.rows)
-    steps = sorted((b, a) for rows in diagram.wires for a, b in zip(rows, rows[1:]))
+def poset_of_wiring(w: Word) -> WordPoset:
+    """Order the crossings of the diagram of w by downward paths: a crossing
+    precedes every later crossing on either of its wires, transitively.  For
+    a reduced word this is the word poset (elements = rows)."""
+    below = [0] * len(w.letters)
+    steps = sorted((b, a) for rows in wires(w) for a, b in zip(rows, rows[1:]))
     # by later row first: a crossing's down-set is complete before it is used
     for row, above in steps:
         below[row - 1] |= below[above - 1] | (1 << (above - 1))
-    return WordPoset(diagram.rows, tuple(_covers_from_below(below)))
+    return WordPoset(w.letters, tuple(_covers_from_below(below)))
 
 
 def shifted_poset(mu) -> WordPoset:
@@ -400,14 +413,15 @@ def braid_triples(P: WordPoset, down: tuple[int, ...]) -> list[tuple[int, int, i
     open interval (x, z) = {y}: exactly the sites where some word of the
     class admits a 3-move with these three positions adjacent.  `down` is
     _down_masks(P)."""
-    up = P._up_masks
     triples = []
     for y in range(1, P.size + 1):
         for x in P._lower_covers[y - 1]:
             for z in P._upper_covers[y - 1]:
                 if P.columns[z - 1] != P.columns[x - 1]:
                     continue
-                if up[x - 1] & down[z - 1] == 1 << (y - 1):
+                # y is the only element strictly between x and z when no
+                # other element below z has x below it
+                if all(m == y or not down[m - 1] >> (x - 1) & 1 for m in _bits(down[z - 1])):
                     triples.append((x, y, z))
     triples.sort()
     return triples
@@ -547,6 +561,7 @@ def _unique_chain(P: WordPoset, which: str) -> tuple[int, ...]:
     unique chain reading 1..n (which="A") or n..1 (which="D")."""
     n = P.rank
     wanted = range(1, n + 1) if which == "A" else range(n, 0, -1)
+    down = _down_masks(P)
     found: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
@@ -557,7 +572,7 @@ def _unique_chain(P: WordPoset, which: str) -> tuple[int, ...]:
             found.append(tuple(prefix))
             return
         for cand in P.column_chains.get(wanted[idx], ()):
-            if prefix and not P.less(prefix[-1], cand):
+            if prefix and not down[cand - 1] >> (prefix[-1] - 1) & 1:
                 continue
             prefix.append(cand)
             rec(idx + 1)

@@ -1,5 +1,6 @@
 """Wiring diagrams: one crossing per row, wires traced by simulation.
 
+A word is its own wiring diagram, so every function here takes the `Word`.
 Rows are numbered 1..l from the top.  Row j carries the single crossing of
 the diagram in column i_j, swapping the wires at positions i_j, i_j+1.  For
 a reduced word of the longest element, wire j ends at point n+2-j and any
@@ -16,38 +17,19 @@ word poset from a diagram, is an oracle in `verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .words import DomainError, Word
 
 
-@dataclass(frozen=True)
-class WiringDiagram:
-    n: int
-    rows: tuple[int, ...]  # rows[j-1] = column of the crossing in row j
-
-    def __post_init__(self):
-        for row, col in enumerate(self.rows, start=1):
-            if not 1 <= col <= self.n:
-                raise DomainError(f"crossing column {col} in row {row} out of range")
-
-    @cached_property
-    def wires(self) -> tuple[tuple[int, ...], ...]:
-        """wires[j-1] lists the rows where wire j crosses, top to bottom."""
-        arrangement = list(range(1, self.n + 2))
-        met: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for row, col in enumerate(self.rows, start=1):
-            u, v = arrangement[col - 1], arrangement[col]
-            met[u - 1].append(row)
-            met[v - 1].append(row)
-            arrangement[col - 1], arrangement[col] = v, u
-        return tuple(tuple(rows) for rows in met)
-
-
-def wiring_of_word(w: Word) -> WiringDiagram:
-    """The diagram whose row j crosses in column i_j."""
-    return WiringDiagram(w.rank, w.letters)
+def wires(w: Word) -> tuple[tuple[int, ...], ...]:
+    """wires[j-1] lists the rows where wire j crosses, top to bottom."""
+    arrangement = list(range(1, w.rank + 2))
+    met: list[list[int]] = [[] for _ in range(w.rank + 1)]
+    for row, col in enumerate(w.letters, start=1):
+        u, v = arrangement[col - 1], arrangement[col]
+        met[u - 1].append(row)
+        met[v - 1].append(row)
+        arrangement[col - 1], arrangement[col] = v, u
+    return tuple(tuple(rows) for rows in met)
 
 
 def _crossings(w: Word) -> list[list[int]]:
@@ -131,12 +113,12 @@ def _chain_rows(w: Word, rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[
     return tuple(a_rows), tuple(d_rows)
 
 
-def render_ascii(diagram: WiringDiagram) -> str:
-    """One text line per row: '|' for wires running straight, 'X' between the
-    two positions being swapped."""
+def render_ascii(w: Word) -> str:
+    """The diagram of w, one text line per row: '|' for wires running
+    straight, 'X' between the two positions being swapped."""
     lines = []
-    for col in diagram.rows:
-        chars = ["|" if k % 2 == 0 else " " for k in range(2 * diagram.n + 1)]
+    for col in w.letters:
+        chars = ["|" if k % 2 == 0 else " " for k in range(2 * w.rank + 1)]
         chars[2 * col - 2] = " "
         chars[2 * col - 1] = "X"
         chars[2 * col] = " "
@@ -144,14 +126,14 @@ def render_ascii(diagram: WiringDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_dot(diagram: WiringDiagram) -> str:
-    """Crossings on a (row, column) grid, one subgraph per row, with edges
-    joining consecutive crossings along each wire."""
+def render_dot(w: Word) -> str:
+    """The diagram of w: crossings on a (row, column) grid, one subgraph per
+    row, with edges joining consecutive crossings along each wire."""
     lines = ["digraph wiring {", "  node [shape=point];"]
-    for row, col in enumerate(diagram.rows, start=1):
+    for row, col in enumerate(w.letters, start=1):
         lines.append(f"  subgraph row{row} {{ c{row} [pos=\"{col},{-row}!\"]; }}")
     edges = set()
-    for rows in diagram.wires:
+    for rows in wires(w):
         edges.update(zip(rows, rows[1:]))
     for a, b in sorted(edges):
         lines.append(f"  c{a} -> c{b};")

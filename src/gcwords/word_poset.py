@@ -15,9 +15,10 @@ reads a single linear extension under a key.
 
 Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
-of a class word) keeps that word with the element at each of its
-positions; any other poset, a copy of one of those included, reads its
-lexmin word, once the poset is checked to be that word's poset.  The
+of a class word, both through `_recorded_poset`) keeps that word with the
+element at each of its positions; any other poset, a copy of one of those
+included, reads its lexmin word, once the poset is checked to be that
+word's poset.  The
 column chains, the canonical form, the extension count and the Hasse
 diagram read it.  The chain, ideal and contraction routes read the
 crossing table cached beside it, and the index, profile and classification
@@ -25,10 +26,9 @@ routes the one stage table cached beside that: their answers are the same
 on every word of the class.  The contractions label their results along
 the lexmin word.
 
-The strict order `less` is answered from the up-set bitmasks (one int per
-element), so the sizes handled here (l <= 36 at rank 8) cost nothing.
-Down-set masks, the stream of all linear extensions and the list of all
-ideals serve only the oracles, and live in `verify`.
+The strict order and its down-set masks, the ideal test, the stream of all
+linear extensions and the list of all ideals serve only the oracles, and
+live in `verify`.
 """
 
 from __future__ import annotations
@@ -96,24 +96,13 @@ class WordPoset:
         return _extension(self, key=lambda k: (self.columns[k - 1], k))
 
     @cached_property
-    def _up_masks(self) -> tuple[int, ...]:
-        # up[k-1] has bit j-1 set iff k < j in the poset
-        up = [0] * self.size
-        for k in reversed(self._lexmin):
-            mask = 0
-            for j in self._upper_covers[k - 1]:
-                mask |= up[j - 1] | (1 << (j - 1))
-            up[k - 1] = mask
-        return tuple(up)
-
-    @cached_property
     def _reading(self) -> tuple[Word, Sequence[int]]:
         """A word of this poset's class and the element at each of its
-        positions: element labels[r-1] sits at row r.  poset_of_word and
-        _canonical_poset_of_word set it to the word they read, which is
-        a word of the poset by construction.  Any other poset, a copy
-        included, reads its lexmin word, checked once to have this poset
-        as its poset: the covers, relabeled by position in the lexmin
+        positions: element labels[r-1] sits at row r.  _recorded_poset,
+        which builds every poset from a word, sets it to that word, a word
+        of the poset by construction.  Any other poset, a copy included,
+        reads its lexmin word, checked once to have this poset as its
+        poset: the covers, relabeled by position in the lexmin
         extension, must be the covers of poset_of_word.  A failed check
         raises and is not cached."""
         extension = lexmin_extension(self)
@@ -137,10 +126,6 @@ class WordPoset:
         which the index, delta-index, profile and classification routes
         read.  Raises, uncached, as _crossing_table does."""
         return _stage_table(self._crossing_table)
-
-    def less(self, x: int, y: int) -> bool:
-        """Strict order: x < y in the poset."""
-        return bool(self._up_masks[x - 1] >> (y - 1) & 1)
 
     @cached_property
     def column_chains(self) -> dict[int, tuple[int, ...]]:
@@ -175,6 +160,15 @@ def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int
     return covers
 
 
+def _recorded_poset(w: Word, columns: tuple[int, ...], label: Sequence[int]) -> WordPoset:
+    # The one place a poset is built from a word: the word poset of the
+    # reduced word w, naming position k (from 1) label[k], with the given
+    # columns, and w recorded as its reading.
+    P = WordPoset(columns, tuple(_word_covers(w.letters, label)))
+    P.__dict__["_reading"] = (w, label[1:])
+    return P
+
+
 def poset_of_word(w: Word) -> WordPoset:
     """The word poset of a reduced word: position j precedes position k when
     j < k and the letters at j, k differ by one.
@@ -185,13 +179,12 @@ def poset_of_word(w: Word) -> WordPoset:
     if not is_reduced(w):
         raise DomainError(f"word {w} is not reduced")
     letters = w.letters
-    P = WordPoset(tuple(letters), tuple(_word_covers(letters, range(len(letters) + 1))))
-    # kept at the poset's rank, as the lexmin word is: the routes that
+    # recorded at the poset's rank, as the lexmin word is: the routes that
     # read it check that it is a word of the longest element of that rank
-    if w.rank != P.rank:
-        w = Word(P.rank, letters)
-    P.__dict__["_reading"] = (w, range(1, len(letters) + 1))
-    return P
+    rank = max(letters, default=0)
+    if w.rank != rank:
+        w = Word(rank, letters)
+    return _recorded_poset(w, tuple(letters), range(len(letters) + 1))
 
 
 def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
@@ -209,9 +202,8 @@ def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
     for c in letters:
         offset[c] += 1
         label.append(offset[c])
-    P = WordPoset(tuple(sorted(letters)), tuple(_word_covers(letters, label)))
-    P.__dict__["_reading"] = (Word(len(counts) - 1, tuple(letters)), tuple(label[1:]))
-    return P
+    w = Word(len(counts) - 1, tuple(letters))
+    return _recorded_poset(w, tuple(sorted(letters)), tuple(label))
 
 
 def canonical_form(P: WordPoset) -> WordPoset:
@@ -305,10 +297,6 @@ def count_linear_extensions(P: WordPoset) -> int:
         pass  # the last level holds the full ideal alone
     (total,) = level.values()
     return total
-
-
-def is_ideal(P: WordPoset, members: frozenset) -> bool:
-    return all(x in members for x, y in P.covers if y in members)
 
 
 def _extension(P: WordPoset, key) -> tuple[int, ...]:

@@ -106,6 +106,26 @@ def test_profile_golden_on_every_class_to_rank_5(fmt, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("variants, digest", [
+    ([("wiring",), ("wiring", "--dot")],
+     "6be926459d54133d179c9cf62c513937322d10bdc4042992997fa3ef9d1022ec"),
+    ([("poset",), ("poset", "--format", "json"), ("poset", "--dot")],
+     "bcd3d6c968c442b7f169776b7e2f521a8436721739b7718a0b965896d0b9d0a1"),
+], ids=["wiring", "poset"])
+def test_word_pictures_golden_on_every_word_to_rank_4(variants, digest):
+    # every one of the 787 reduced words of w0 at ranks 1..4, in the order
+    # of enumerate_reduced_words, through each variant in turn; the digests
+    # pin the output of the wiring diagram type and of the two word-poset
+    # constructors that each recorded the word
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for n in range(1, 5):
+            for w in enumerate_reduced_words(longest_element(n + 1)):
+                for command, *options in variants:
+                    assert main([command, str(w), *options]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_classes(capsys):
     code, out, _ = run(capsys, "classes", "3")
     assert code == 0

@@ -17,6 +17,7 @@ from gcwords.gc import (
 from gcwords.indices import extend_A, extend_D, ind_A, ind_D
 from gcwords.verify import (
     enumerate_gc_words,
+    less,
     shifted_poset,
     strict_partitions,
     syt_count_oracle,
@@ -311,8 +312,8 @@ def _plain_isomorphic(P, Q) -> bool:
     def signature(R, k):
         elements = range(1, R.size + 1)
         return (
-            sum(R.less(j, k) for j in elements),
-            sum(R.less(k, j) for j in elements),
+            sum(less(R, j, k) for j in elements),
+            sum(less(R, k, j) for j in elements),
             len(R._lower_covers[k - 1]),
             len(R._upper_covers[k - 1]),
         )
@@ -334,8 +335,8 @@ def _plain_isomorphic(P, Q) -> bool:
             if y in used:
                 continue
             ok = all(
-                P.less(prev, x) == Q.less(assignment[prev], y)
-                and P.less(x, prev) == Q.less(y, assignment[prev])
+                less(P, prev, x) == less(Q, assignment[prev], y)
+                and less(P, x, prev) == less(Q, y, assignment[prev])
                 for prev in assignment
             )
             if ok:
@@ -371,7 +372,7 @@ def test_staircase_strip_decomposition():
             top = list(range(bottom.size + 1, P.size + 1))
             for t in top:
                 for b in range(1, bottom.size + 1):
-                    assert P.less(b, t)
+                    assert less(P, b, t)
             relabel = {t: j for j, t in enumerate(top, start=1)}
             cols = tuple(P.columns[t - 1] for t in top)
             shift = min(cols) - 1

@@ -82,6 +82,19 @@ def test_only_verify_reaches_the_pair_test():
     assert users == {"verify"}
 
 
+def test_only_verify_names_the_order_oracle():
+    # no production route reads the strict order: the order and the ideal
+    # test are oracles, and a second copy of the order on the poset, such
+    # as up-set masks, must not come back
+    users = {
+        path.stem
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if {"_up_masks", "is_ideal", "less"} & set(_names(node))
+    }
+    assert users == {"verify"}
+
+
 def test_importing_the_cli_leaves_verify_unloaded():
     # the verify command imports the oracles when it runs, not before
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
