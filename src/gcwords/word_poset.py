@@ -3,28 +3,30 @@
 The poset of a reduced word relates two positions when their letters differ
 by one; linear extensions of the poset read back exactly the words of the
 commutation class.  Elements in one column always form a chain, which makes
-three things cheap.  A word's poset takes O(l) steps: each position's
-covers are among the latest occurrences of the two neighbouring letters.
-The canonical relabeling (by column, then height in the column) is forced,
-and it is read off the letters of any word of the class: the j-th
-occurrence of c.  And an ideal is fixed by its per-column counts, which one
-int packs, one field per column.  One walker of the ideal lattice, on such
-keys, serves counting linear extensions and enumerating and counting
-commutation classes by word splices.  One extension walker, `_extension`,
-reads a single linear extension under a key.
+three things cheap.  A word's poset takes O(l) steps on a reduced word:
+for position k with letter c, let a, b and p be the latest c-1, c+1 and c
+before k; the covers of k are a and b, less the lower of the two when p
+lies above it.  The canonical relabeling (by column, then height in the
+column) is forced, and it is read off the letters of any word of the
+class: the j-th occurrence of c.  And an ideal is fixed by its per-column
+counts, which one int packs, one field per column.  One walker of the
+ideal lattice, on such keys, serves counting linear extensions and
+enumerating and counting commutation classes by word splices.  One
+extension walker, `_extension`, reads a single linear extension under a
+key.
 
 Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
 of a class word, both through `_recorded_poset`) keeps that word with the
-element at each of its positions; any other poset, a copy of one of those
-included, reads its lexmin word, once the poset is checked to be that
-word's poset.  The
-column chains, the canonical form, the extension count and the Hasse
-diagram read it.  The chain, ideal and contraction routes read the
-crossing table cached beside it, and the index, profile and classification
-routes the one stage table cached beside that: their answers are the same
-on every word of the class.  The contractions label their results along
-the lexmin word.
+element at each of its positions, and skips the checks of the public
+constructor, which cannot fail on it.  Any other poset, a copy of one of
+those included, reads its lexmin word, once the poset is checked to be
+that word's poset.  The column chains, the canonical form, the extension
+count and the Hasse diagram read it.  The chain, ideal and contraction
+routes read the crossing table cached beside it, and the index, profile
+and classification routes the one stage table cached beside that: their
+answers are the same on every word of the class.  The contractions label
+their results along the lexmin word.
 
 The strict order and its down-set masks, the ideal test, the stream of all
 linear extensions and the list of all ideals serve only the oracles, and
@@ -59,9 +61,13 @@ class WordPoset:
         for col in self.columns:
             if col < 1:
                 raise DomainError(f"column {col} must be positive")
+        previous = None
         for x, y in self.covers:
             if not (1 <= x <= size and 1 <= y <= size) or x == y:
                 raise DomainError(f"cover ({x},{y}) outside ground set 1..{size}")
+            if (x, y) == previous:
+                raise DomainError(f"cover ({x},{y}) repeated")
+            previous = x, y
             if abs(self.columns[x - 1] - self.columns[y - 1]) != 1:
                 raise DomainError(
                     f"cover ({x},{y}) joins non-adjacent columns "
@@ -140,22 +146,20 @@ class WordPoset:
 
 def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int, int]]:
     # Covers of the word poset of a reduced word, naming position k (from 1)
-    # label[k].  The occurrences of one letter form a chain, so everything
-    # below position k (letter c) lies below the latest c-1 or the latest
-    # c+1 before it, and those two are its covers, less one lying below the
-    # other.  reach[p] has bit q set for each position q at or below p;
-    # position 0 stands for "none", and no reach holds its bit.
-    reach = [0] * (len(letters) + 1)
+    # label[k].  For position k with letter c, let a, b and p be the latest
+    # c-1, c+1 and c before k (0 for none).  The occurrences of one letter
+    # form a chain, so everything below k lies below a or b, and those two
+    # are its covers, less the lower of the two when p lies above it: a lies
+    # below b only through an occurrence of c between them, and p does not
+    # follow both, or only commuting letters would part p from k.
     last = [0] * (max(letters, default=0) + 2)
     covers = []
     for k, c in enumerate(letters, start=1):
-        a, b = last[c - 1], last[c + 1]
-        ra, rb = reach[a], reach[b]
-        if a and not rb >> a & 1:
+        a, b, p = last[c - 1], last[c + 1], last[c]
+        if a and not b > a < p:
             covers.append((label[a], label[k]))
-        if b and not ra >> b & 1:
+        if b and not a > b < p:
             covers.append((label[b], label[k]))
-        reach[k] = ra | rb | 1 << k
         last[c] = k
     return covers
 
@@ -163,9 +167,13 @@ def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int
 def _recorded_poset(w: Word, columns: tuple[int, ...], label: Sequence[int]) -> WordPoset:
     # The one place a poset is built from a word: the word poset of the
     # reduced word w, naming position k (from 1) label[k], with the given
-    # columns, and w recorded as its reading.
-    P = WordPoset(columns, tuple(_word_covers(w.letters, label)))
-    P.__dict__["_reading"] = (w, label[1:])
+    # columns, and w recorded as its reading.  Valid by construction, so it
+    # skips the checks of WordPoset(columns, covers).
+    P = object.__new__(WordPoset)
+    fields = P.__dict__
+    fields["columns"] = columns
+    fields["covers"] = tuple(sorted(_word_covers(w.letters, label)))
+    fields["_reading"] = (w, label[1:])
     return P
 
 
@@ -202,7 +210,7 @@ def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
     for c in letters:
         offset[c] += 1
         label.append(offset[c])
-    w = Word(len(counts) - 1, tuple(letters))
+    w = Word._unchecked(len(counts) - 1, tuple(letters), None)
     return _recorded_poset(w, tuple(sorted(letters)), tuple(label))
 
 

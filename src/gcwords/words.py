@@ -47,7 +47,7 @@ class Word:
                 )
 
     @classmethod
-    def _unchecked(cls, rank: int, letters: tuple[int, ...], text: str) -> Word:
+    def _unchecked(cls, rank: int, letters: tuple[int, ...], text: str | None) -> Word:
         # For callers whose letters lie in 1..rank by construction: skips
         # the range check and keeps `text`, the comma format of `letters`,
         # as the word's str().

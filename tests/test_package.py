@@ -95,6 +95,48 @@ def test_only_verify_names_the_order_oracle():
     assert users == {"verify"}
 
 
+def _references_by_function(node, where=None):
+    """(name of the innermost enclosing function, node) for every node
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        yield where, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _references_by_function(child, inner)
+
+
+def _records_a_word_poset(node) -> str | None:
+    # a raw WordPoset, which skips the public checks, or the cover builder
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and any(isinstance(arg, ast.Name) and arg.id == "WordPoset" for arg in node.args)
+    ):
+        return "object.__new__(WordPoset)"
+    if isinstance(node, (ast.Name, ast.Attribute)) and "_word_covers" in set(_names(node)):
+        return "_word_covers"
+    return None
+
+
+def test_one_constructor_records_every_word_poset():
+    # only _recorded_poset builds a poset from a word without WordPoset's
+    # checks, valid by construction: a second raw construction or a second
+    # caller of the cover rule, which holds on reduced words only, must not
+    # come back
+    sites = {
+        (path.stem, where, what)
+        for path in MODULES
+        for where, node in _references_by_function(ast.parse(path.read_text(), filename=str(path)))
+        if (what := _records_a_word_poset(node))
+    }
+    assert sites == {
+        ("word_poset", "_recorded_poset", "object.__new__(WordPoset)"),
+        ("word_poset", "_recorded_poset", "_word_covers"),
+    }
+
+
 def test_importing_the_cli_leaves_verify_unloaded():
     # the verify command imports the oracles when it runs, not before
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

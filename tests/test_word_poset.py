@@ -165,6 +165,30 @@ def test_invalid_covers_rejected():
         WordPoset((1, 2), ((1, 3),))  # label out of range
 
 
+def test_repeated_cover_rejected():
+    # a repeat would make the poset unequal to itself without it
+    with pytest.raises(DomainError, match=r"^cover \(1,2\) repeated$"):
+        WordPoset((1, 2, 1), ((1, 2), (2, 3), (1, 2)))
+
+
+def test_recorded_posets_pass_the_public_checks(classes_of_rank, words_of_rank):
+    # the recorded constructor skips WordPoset's checks; a copy through the
+    # public constructor runs them, and the copy's lexmin word, checked to
+    # have the copy as its poset, reads the same column chains
+    posets = [P for n in range(1, 6) for P in classes_of_rank(n)]
+    posets += [
+        gc_poset_of_delta("".join(kinds))
+        for n in range(1, 9)
+        for kinds in product("AD", repeat=n - 1)
+    ]
+    posets += [poset_of_word(w) for w in words_of_rank(4)]
+    assert len(posets) == 1 + 2 + 8 + 62 + 908 + 255 + 768
+    for P in posets:
+        Q = WordPoset(P.columns, P.covers)
+        assert Q == P
+        assert Q.column_chains == P.column_chains
+
+
 def test_cycle_rejected():
     P = WordPoset((1, 2, 1), ((1, 2), (2, 3), (3, 2)))
     with pytest.raises(DomainError, match="cycle"):
@@ -405,6 +429,18 @@ def test_word_needs_walk_the_poset_ideals(n, choices):
     from_word = list(_ideal_levels(_word_needs(w.letters, n)))
     from_poset = list(_ideal_levels(_poset_needs(poset_of_word(w))))
     assert from_word == from_poset
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=6, max_value=9),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=80),
+)
+def test_poset_of_word_matches_definition_at_high_rank(n, choices):
+    # the cover rule holds on reduced words only: check it on words of w0
+    # well past the letter sequences above
+    w = random_braid_walk(standard_word(n), choices)
+    assert poset_of_word(w) == _poset_of_word_by_definition(w)
 
 
 @st.composite
