@@ -26,7 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Iterator
 
 from .gc import (
@@ -36,6 +36,7 @@ from .gc import (
     gc_direct,
     gc_poset_of_delta,
     gc_recurrence,
+    thrall_g,
     validate_strict,
 )
 from .indices import (
@@ -52,6 +53,7 @@ from .indices import (
     extend_D,
     full_profile,
     ind_D,
+    validate_delta,
 )
 from .wiring import chains_from_wires, wires
 from .word_poset import (
@@ -75,12 +77,13 @@ from .words import (
     apply_2move,
     apply_3move,
     enumerate_reduced_words,
+    inversion_count,
     is_permutation,
-    is_reduced,
     legal_2moves,
     legal_3moves,
     longest_element,
     parse_word,
+    perm_of_word,
     standard_word,
 )
 
@@ -371,11 +374,22 @@ def check_tits_connectivity(n: int = 4) -> Report:
     return _run("tits_connectivity", {"n": n}, body)
 
 
+def is_reduced_by_length(w: Word) -> bool:
+    """The reducedness oracle, straight from the definition: the word is as
+    long as its permutation's inversion count, the Coxeter length.  O(m^2)
+    in the permutation's size, against the one pass of `is_reduced`.
+
+    >>> is_reduced_by_length(parse_word("1,2,1")), is_reduced_by_length(parse_word("1,1"))
+    (True, False)
+    """
+    return len(w.letters) == inversion_count(perm_of_word(w))
+
+
 def _poset_of_word_by_definition(w: Word) -> WordPoset:
     """The word poset oracle, straight from the definition: each position's
     down-set is the union over every earlier position whose letter differs
     by one, and the covers are the transitive reduction.  O(l^2)."""
-    if not is_reduced(w):
+    if not is_reduced_by_length(w):
         raise DomainError(f"word {w} is not reduced")
     letters = w.letters
     below = [0] * len(letters)
@@ -780,6 +794,27 @@ def count_gc_words_brute(n: int) -> int:
         if verdict:
             hits += 1
     return hits
+
+
+def gc_count_by_runs(delta: str) -> int:
+    """The number of words of the GC class of delta, by the paper's
+    recurrence one GC poset at a time: if delta has rank n, its last run
+    has length L and delta' is the rest, of rank n-L, then
+    e(P_delta) = g(n, n-1, ..., n-L+1) * e(P_delta'), with e = 1 at rank 1.
+    So the count is a product of shifted tableau counts over the runs of
+    delta, top run first, and reads no poset.  Summed over the deltas of
+    rank n it regroups into gc_recurrence(n).
+
+    >>> [gc_count_by_runs(d) for d in ("AA", "AD", "DA", "DD")]
+    [2, 1, 1, 2]
+    """
+    validate_delta(delta)
+    n, count = len(delta) + 1, 1
+    for _, run in groupby(reversed(delta)):
+        length = sum(1 for _ in run)
+        count *= thrall_g(tuple(range(n, n - length, -1)))
+        n -= length
+    return count
 
 
 def check_table1(n_max: int = 8, brute_max: int = 5) -> Report:

@@ -70,9 +70,14 @@ def _stage_table(rows: list[list[int]]) -> list[int]:
     for the table."""
     width = len(rows)
     table = [0] * (2 * width * width)
+    # in the layout of _at, a step of hi moves 2 entries and a step of lo
+    # 2 * width, so the stage on wires lo+1..hi sits `below` past lo..hi
+    below = _at(width, 1, 0)
     for lo in range(width - 3, 0, -1):
         low, a = rows[lo], 0
+        at = _at(width, lo, lo + 1)
         for hi in range(lo + 2, width):
+            at += 2
             # of the crossings of wires lo, hi and i in pairs, at rows x,
             # low[i] and high[i], the last counts for ind_A if it is that of
             # i with hi, for ind_D if it is that of i with lo
@@ -83,9 +88,8 @@ def _stage_table(rows: list[list[int]]) -> list[int]:
                     a += x < h
                 else:
                     d += x < l
-            at = _at(width, lo, hi)
             table[at] = a
-            table[at + 1] = table[_at(width, lo + 1, hi) + 1] + d
+            table[at + 1] = table[at + below + 1] + d
     return table
 
 

@@ -141,12 +141,22 @@ def inversion_count(p: Perm) -> int:
 def is_reduced(w: Word) -> bool:
     """True iff no shorter word evaluates to the same permutation.
 
+    One pass over the letters, building the product as perm_of_word does:
+    right-multiplying p by s_c adds one to the length exactly when
+    p(c) < p(c+1), and a word is reduced when every letter does.
+
     >>> is_reduced(word([1, 2, 1]))
     True
     >>> is_reduced(word([1, 1]))
     False
     """
-    return len(w.letters) == inversion_count(perm_of_word(w))
+    p = list(range(1, w.rank + 2))
+    for letter in w.letters:
+        x, y = p[letter - 1], p[letter]
+        if x > y:
+            return False
+        p[letter - 1], p[letter] = y, x
+    return True
 
 
 def standard_word(n: int) -> Word:

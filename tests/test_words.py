@@ -1,7 +1,7 @@
 import tracemalloc
 from collections import deque
 from dataclasses import replace
-from itertools import islice, permutations, zip_longest
+from itertools import islice, permutations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from gcwords.words import (
     standard_word,
     word,
 )
-from gcwords.verify import count_reduced_words
+from gcwords.verify import count_reduced_words, is_reduced_by_length
 
 
 def test_perm_of_word_convention():
@@ -74,6 +74,21 @@ def test_is_reduced():
     assert is_reduced(word([1, 2, 1]))
     assert not is_reduced(word([1, 1]))
     assert is_reduced(word([1, 3, 2, 1, 3, 2]))
+
+
+def test_is_reduced_matches_the_length_oracle_on_every_short_word():
+    # the one-pass scan against the inversion count, on every letter
+    # sequence of rank <= 4 and length <= 8
+    words = [
+        Word(rank, letters)
+        for rank in range(5)
+        for length in range(9)
+        for letters in product(range(1, rank + 1), repeat=length)
+    ]
+    assert len(words) == 97743
+    verdicts = [is_reduced(w) for w in words]
+    assert verdicts == [is_reduced_by_length(w) for w in words]
+    assert sum(verdicts) == 1601
 
 
 @pytest.mark.parametrize(
@@ -259,3 +274,27 @@ def test_braid_moves_preserve_permutation_and_reducedness(n, choices):
     w = random_braid_walk(standard_word(n), choices)
     assert is_reduced(w)
     assert perm_of_word(w) == longest_element(n + 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(min_value=5, max_value=9),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+    edit=st.sampled_from(["none", "insert", "repeat"]),
+    where=st.integers(min_value=0, max_value=10**6),
+    letter=st.integers(min_value=0, max_value=10**6),
+    cut=st.integers(min_value=0, max_value=10**6),
+)
+def test_is_reduced_matches_the_length_oracle_near_w0(n, choices, edit, where, letter, cut):
+    # a word of w0, as is or with one letter inserted or repeated, and a
+    # prefix of it: the scan and the inversion count agree on all of them
+    letters = list(random_braid_walk(standard_word(n), choices).letters)
+    if edit == "insert":
+        letters.insert(where % (len(letters) + 1), 1 + letter % n)
+    elif edit == "repeat":
+        pos = where % len(letters)
+        letters.insert(pos, letters[pos])
+    w = Word(n, tuple(letters))
+    assert is_reduced(w) == is_reduced_by_length(w) == (edit == "none")
+    prefix = Word(n, w.letters[: cut % (len(letters) + 1)])
+    assert is_reduced(prefix) == is_reduced_by_length(prefix)
