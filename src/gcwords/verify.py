@@ -26,7 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from typing import Callable, Iterator
 
 from .gc import (
@@ -36,7 +36,6 @@ from .gc import (
     gc_direct,
     gc_poset_of_delta,
     gc_recurrence,
-    thrall_g,
     validate_strict,
 )
 from .indices import (
@@ -53,7 +52,6 @@ from .indices import (
     extend_D,
     full_profile,
     ind_D,
-    validate_delta,
 )
 from .wiring import chains_from_wires, wires
 from .word_poset import (
@@ -794,27 +792,6 @@ def count_gc_words_brute(n: int) -> int:
         if verdict:
             hits += 1
     return hits
-
-
-def gc_count_by_runs(delta: str) -> int:
-    """The number of words of the GC class of delta, by the paper's
-    recurrence one GC poset at a time: if delta has rank n, its last run
-    has length L and delta' is the rest, of rank n-L, then
-    e(P_delta) = g(n, n-1, ..., n-L+1) * e(P_delta'), with e = 1 at rank 1.
-    So the count is a product of shifted tableau counts over the runs of
-    delta, top run first, and reads no poset.  Summed over the deltas of
-    rank n it regroups into gc_recurrence(n).
-
-    >>> [gc_count_by_runs(d) for d in ("AA", "AD", "DA", "DD")]
-    [2, 1, 1, 2]
-    """
-    validate_delta(delta)
-    n, count = len(delta) + 1, 1
-    for _, run in groupby(reversed(delta)):
-        length = sum(1 for _ in run)
-        count *= thrall_g(tuple(range(n, n - length, -1)))
-        n -= length
-    return count
 
 
 def check_table1(n_max: int = 8, brute_max: int = 5) -> Report:

@@ -70,14 +70,14 @@ def _stage_table(rows: list[list[int]]) -> list[int]:
     for the table."""
     width = len(rows)
     table = [0] * (2 * width * width)
-    # in the layout of _at, a step of hi moves 2 entries and a step of lo
-    # 2 * width, so the stage on wires lo+1..hi sits `below` past lo..hi
-    below = _at(width, 1, 0)
+    # _at is linear in lo and hi: a step of hi moves the flat index `step`,
+    # and the stage on wires lo+1..hi sits `below` past the one on lo..hi
+    step, below = _at(width, 0, 1), _at(width, 1, 0)
     for lo in range(width - 3, 0, -1):
         low, a = rows[lo], 0
         at = _at(width, lo, lo + 1)
         for hi in range(lo + 2, width):
-            at += 2
+            at += step
             # of the crossings of wires lo, hi and i in pairs, at rows x,
             # low[i] and high[i], the last counts for ind_A if it is that of
             # i with hi, for ind_D if it is that of i with lo

@@ -3,7 +3,7 @@
 The poset of a reduced word relates two positions when their letters differ
 by one; linear extensions of the poset read back exactly the words of the
 commutation class.  Elements in one column always form a chain, which makes
-three things cheap.  A word's covers take O(l) steps on a reduced word:
+three things cheap.  A word's poset takes O(l) steps on a reduced word:
 for position k with letter c, let a, b and p be the latest c-1, c+1 and c
 before k; the covers of k are a and b, less the lower of the two when p
 lies above it.  The canonical relabeling (by column, then height in the
@@ -19,14 +19,9 @@ Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
 of a class word, both through `_recorded_poset`) keeps that word with the
 element at each of its positions, and skips the checks of the public
-constructor, which cannot fail on it.  Such a poset is its word: it
-computes its covers on first read, and only the routes that need the Hasse
-diagram read them: the extension walker `_extension` and with it the
-lexmin extension, `render_dot`, the CLI's `poset` output, equality,
-hashing and repr, and the check that a copy's `_reading` makes.  The
-index, profile, classification and extension-count routes never do.  Any
-other poset, a copy of one of those included, reads its lexmin word, once
-the poset is checked to be that word's poset.  The column chains, the canonical form, the extension
+constructor, which cannot fail on it.  Any other poset, a copy of one of
+those included, reads its lexmin word, once the poset is checked to be
+that word's poset.  The column chains, the canonical form, the extension
 count and the Hasse diagram read it.  The chain, ideal and contraction
 routes read the crossing table cached beside it, and the index, profile
 and classification routes the one stage table cached beside that: their
@@ -79,18 +74,6 @@ class WordPoset:
                     f"{self.columns[x - 1]},{self.columns[y - 1]}"
                 )
 
-    def __getattr__(self, name):
-        # Only a poset built from a word (_recorded_poset) lacks a field: it
-        # records no covers, since most routes never read them, and computes
-        # them, sorted, on first read.  Equality, hashing and repr read them
-        # too, so they go by (columns, covers) as on any other poset.
-        reading = self.__dict__.get("_reading") if name == "covers" else None
-        if reading is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        w, labels = reading
-        covers = self.__dict__["covers"] = tuple(sorted(_word_covers(w.letters, labels)))
-        return covers
-
     @property
     def size(self) -> int:
         return len(self.columns)
@@ -123,11 +106,11 @@ class WordPoset:
         """A word of this poset's class and the element at each of its
         positions: element labels[r-1] sits at row r.  _recorded_poset,
         which builds every poset from a word, sets it to that word, a word
-        of the poset by construction, and the poset's covers are computed
-        from it.  Any other poset, a copy included, reads its lexmin word,
-        checked once to have this poset as its poset: the covers, relabeled
-        by position in the lexmin extension, must be the covers of
-        poset_of_word.  A failed check raises and is not cached."""
+        of the poset by construction.  Any other poset, a copy included,
+        reads its lexmin word, checked once to have this poset as its
+        poset: the covers, relabeled by position in the lexmin
+        extension, must be the covers of poset_of_word.  A failed check
+        raises and is not cached."""
         extension = lexmin_extension(self)
         w = word_of_extension(self, extension)
         row = {k: r for r, k in enumerate(extension, start=1)}
@@ -161,36 +144,36 @@ class WordPoset:
         return {c: tuple(chains[c]) for c in sorted(chains)}
 
 
-def _word_covers(letters: Sequence[int], labels: Sequence[int]) -> list[tuple[int, int]]:
-    # Covers of the word poset of a reduced word, naming the element at row
-    # r labels[r-1].  For position k with letter c, let a, b and p be the
-    # latest c-1, c+1 and c before k (0 for none).  The occurrences of one
-    # letter form a chain, so everything below k lies below a or b, and
-    # those two are its covers, less the lower of the two when p lies above
-    # it: a lies below b only through an occurrence of c between them, and
-    # p does not follow both, or only commuting letters would part p from k.
+def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int, int]]:
+    # Covers of the word poset of a reduced word, naming position k (from 1)
+    # label[k].  For position k with letter c, let a, b and p be the latest
+    # c-1, c+1 and c before k (0 for none).  The occurrences of one letter
+    # form a chain, so everything below k lies below a or b, and those two
+    # are its covers, less the lower of the two when p lies above it: a lies
+    # below b only through an occurrence of c between them, and p does not
+    # follow both, or only commuting letters would part p from k.
     last = [0] * (max(letters, default=0) + 2)
     covers = []
-    for k, (c, y) in enumerate(zip(letters, labels), start=1):
+    for k, c in enumerate(letters, start=1):
         a, b, p = last[c - 1], last[c + 1], last[c]
         if a and not b > a < p:
-            covers.append((labels[a - 1], y))
+            covers.append((label[a], label[k]))
         if b and not a > b < p:
-            covers.append((labels[b - 1], y))
+            covers.append((label[b], label[k]))
         last[c] = k
     return covers
 
 
-def _recorded_poset(w: Word, columns: tuple[int, ...], labels: Sequence[int]) -> WordPoset:
+def _recorded_poset(w: Word, columns: tuple[int, ...], label: Sequence[int]) -> WordPoset:
     # The one place a poset is built from a word: the word poset of the
-    # reduced word w, naming the element at row r labels[r-1], with the
-    # given columns, and (w, labels) recorded as its reading.  Valid by
-    # construction, so it skips the checks of WordPoset(columns, covers),
-    # and it leaves the covers to WordPoset.__getattr__, on first read.
+    # reduced word w, naming position k (from 1) label[k], with the given
+    # columns, and w recorded as its reading.  Valid by construction, so it
+    # skips the checks of WordPoset(columns, covers).
     P = object.__new__(WordPoset)
     fields = P.__dict__
     fields["columns"] = columns
-    fields["_reading"] = (w, labels)
+    fields["covers"] = tuple(sorted(_word_covers(w.letters, label)))
+    fields["_reading"] = (w, label[1:])
     return P
 
 
@@ -209,7 +192,7 @@ def poset_of_word(w: Word) -> WordPoset:
     rank = max(letters, default=0)
     if w.rank != rank:
         w = Word(rank, letters)
-    return _recorded_poset(w, tuple(letters), range(1, len(letters) + 1))
+    return _recorded_poset(w, tuple(letters), range(len(letters) + 1))
 
 
 def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
@@ -223,12 +206,12 @@ def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
     offset = [0] * len(counts)
     for c in range(1, len(counts) - 1):
         offset[c + 1] = offset[c] + counts[c]
-    labels = []
+    label = [0]
     for c in letters:
         offset[c] += 1
-        labels.append(offset[c])
+        label.append(offset[c])
     w = Word._unchecked(len(counts) - 1, tuple(letters), None)
-    return _recorded_poset(w, tuple(sorted(letters)), tuple(labels))
+    return _recorded_poset(w, tuple(sorted(letters)), tuple(label))
 
 
 def canonical_form(P: WordPoset) -> WordPoset:

@@ -17,7 +17,6 @@ from gcwords.gc import (
 from gcwords.indices import extend_A, extend_D, ind_A, ind_D
 from gcwords.verify import (
     enumerate_gc_words,
-    gc_count_by_runs,
     less,
     shifted_poset,
     strict_partitions,
@@ -179,23 +178,6 @@ def test_gc_direct_reads_each_gc_poset_off_its_word(monkeypatch):
     monkeypatch.setattr(word_poset, "_extension", refused)
     monkeypatch.setattr(indices, "_extension", refused)
     assert gc_direct(7) == GC_TABLE[7]
-
-
-@pytest.mark.parametrize("n", range(1, 10))
-def test_each_gc_poset_counts_by_its_runs(n):
-    # the recurrence as a product law on each GC poset, a second derivation
-    # of every count the direct sum adds up, not only of their sum
-    deltas = ["".join(letters) for letters in product("AD", repeat=n - 1)]
-    counts = [count_linear_extensions(gc_poset_of_delta(delta)) for delta in deltas]
-    assert counts == [gc_count_by_runs(delta) for delta in deltas]
-    assert sum(counts) == gc_recurrence(n)
-
-
-@settings(deadline=None, max_examples=20)
-@given(delta=st.integers(min_value=10, max_value=11).flatmap(
-    lambda n: st.text(alphabet="AD", min_size=n - 1, max_size=n - 1)))
-def test_gc_count_by_runs_at_high_rank(delta):
-    assert count_linear_extensions(gc_poset_of_delta(delta)) == gc_count_by_runs(delta)
 
 
 def test_direct_equals_recurrence(classes_of_rank):

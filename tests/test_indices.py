@@ -471,8 +471,8 @@ def test_word_walks_read_any_word_of_the_class(n, seed):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls of the lexmin extension, of poset_of_word, of the
-    crossing table, of the stage table, of the contraction and of the cover
-    rule, under every name the package reaches them by."""
+    crossing table, of the stage table and of the contraction, under every
+    name the package reaches them by."""
     counter = Counter()
 
     def counting(name, real):
@@ -488,7 +488,6 @@ def calls(monkeypatch):
         ("_crossings", wiring._crossings),
         ("_stage_table", wiring._stage_table),
         ("_contract", indices._contract),
-        ("_word_covers", word_poset._word_covers),
     ):
         wrapper = counting(name, real)
         for module in (word_poset, wiring, indices, gc):
@@ -498,13 +497,12 @@ def calls(monkeypatch):
 
 
 # a poset built from a word reads that word: no lexmin word, no second
-# poset, one crossing table and one stage table, no contracted word, and no
-# covers
+# poset, one crossing table and one stage table, no contracted word
 WORD_TRACE = Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _stage_table=1,
-                     _contract=0, _word_covers=0)
-# a copy reads its lexmin word, checked against the covers of a second poset
+                     _contract=0)
+# a copy reads its lexmin word, checked against a second poset
 ONE_TRACE = Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
-                    _contract=0, _word_covers=1)
+                    _contract=0)
 
 
 def copy_of(P):
@@ -548,26 +546,23 @@ def test_public_calls_share_one_entry_check(calls):
                          ids=["A", "D"])
 def test_contractions_skip_the_check_on_word_posets(calls, contract):
     # the recorded word proves P a word poset: the contraction reads the
-    # lexmin word, which walks P's covers, and builds the contracted poset,
-    # whose covers it leaves unread, and no second poset
+    # lexmin word and builds the contracted poset, and no second poset
     contract(poset_of_word(standard_word(5)))
     assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=0,
-                            _contract=1, _word_covers=1)
+                            _contract=1)
 
 
 def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
     # a copy reads its lexmin word, the word the contractions read too, so
     # both contractions and the profile share the copy's one table.  The
     # entry check and each contraction ask for the lexmin extension, which
-    # the poset caches; the check builds one poset, whose covers it reads,
-    # and each contraction one, whose covers it does not.
+    # the poset caches; the check builds one poset, each contraction one.
     P = copy_of(poset_of_word(random_w0_word(5, random.Random(7))))
-    calls.clear()
     contract_A(P)
     contract_D(P)
     full_profile(P)
     assert calls == Counter(lexmin_extension=3, poset_of_word=3, _crossings=1, _stage_table=1,
-                            _contract=2, _word_covers=1)
+                            _contract=2)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -589,58 +584,9 @@ def test_copies_check_their_lexmin_word_once(calls, route, build):
     P = build(random_w0_word(5, random.Random(6)))
     route(P)
     assert calls == WORD_TRACE
-    Q = copy_of(P)  # reads the covers of P
     calls.clear()
-    route(Q)
+    route(copy_of(P))
     assert calls == ONE_TRACE
-
-
-def test_class_routes_read_no_covers(calls):
-    # the census route: enumeration, classification and profile on every
-    # class of rank 4, and no class computes its covers
-    classes = list(word_poset.enumerate_commutation_classes(4))
-    for P in classes:
-        classify_gc(P)
-        full_profile(P)
-    assert len(classes) == 62
-    assert calls["_word_covers"] == 0
-    assert not any("covers" in vars(P) for P in classes)
-
-
-def test_gc_count_route_reads_no_covers(calls):
-    # gc_direct's route: each GC poset of ranks 1..7, counted
-    posets = {n: [gc.gc_poset_of_delta("".join(kinds)) for kinds in product("AD", repeat=n - 1)]
-              for n in range(1, 8)}
-    for n, of_rank in posets.items():
-        assert sum(map(word_poset.count_linear_extensions, of_rank)) == gc.gc_recurrence(n)
-    assert calls["_word_covers"] == 0
-    assert not any("covers" in vars(P) for of_rank in posets.values() for P in of_rank)
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_recorded_posets_compare_and_hash_by_columns_and_covers(calls, warm):
-    # two recorded posets of one class, read off different words, and a
-    # public copy are one poset, whether or not their covers were read
-    # before they are compared or hashed
-    rng = random.Random(9)
-    w = random_w0_word(5, rng)
-    walked = _canonical_poset_of_word(w.letters)
-    v = next(v for v in iter(lambda: word_of_extension(walked, random_extension(walked, rng)), None)
-             if v != w)
-    P, Q, R = (_canonical_poset_of_word(u.letters) for u in (w, v, w))
-    copy = copy_of(walked)
-    calls.clear()
-    for recorded in (P, Q, R):
-        if warm:
-            recorded.covers
-        assert ("covers" in vars(recorded)) == warm
-    assert calls["_word_covers"] == (3 if warm else 0)
-    assert hash(P) == hash(copy) == hash(Q)
-    assert P == copy == Q and copy == R and Q == R
-    assert len({P, Q, R, copy}) == 1
-    assert repr(P) == repr(Q) == repr(copy)
-    assert calls["_word_covers"] == 3
-    assert P._reading[0] != Q._reading[0]
 
 
 def route_answers(P):
@@ -679,6 +625,23 @@ def test_word_poset_signature_is_columns_and_covers():
     assert list(inspect.signature(WordPoset).parameters) == ["columns", "covers"]
     assert repr(poset_of_word(standard_word(2))) == (
         "WordPoset(columns=(1, 2, 1), covers=((1, 2), (2, 3)))")
+
+
+def test_recorded_posets_compare_and_hash_by_columns_and_covers():
+    # two recorded posets of one class, read off different words, and a
+    # public copy are one poset: equality and hashing ignore the reading
+    rng = random.Random(9)
+    w = random_w0_word(5, rng)
+    walked = _canonical_poset_of_word(w.letters)
+    v = next(v for v in iter(lambda: word_of_extension(walked, random_extension(walked, rng)), None)
+             if v != w)
+    P, Q = (_canonical_poset_of_word(u.letters) for u in (w, v))
+    copy = copy_of(walked)
+    assert P._reading[0] != Q._reading[0]
+    assert hash(P) == hash(copy) == hash(Q)
+    assert P == copy == Q
+    assert len({P, Q, copy}) == 1
+    assert repr(P) == repr(Q) == repr(copy)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -122,10 +122,9 @@ def _records_a_word_poset(node) -> str | None:
 
 def test_one_constructor_records_every_word_poset():
     # only _recorded_poset builds a poset from a word without WordPoset's
-    # checks, valid by construction, and only the lazy covers of such a
-    # poset, in WordPoset.__getattr__, read its word through the cover rule:
-    # a second raw construction or a second caller of the rule, which holds
-    # on reduced words only, must not come back
+    # checks, valid by construction: a second raw construction or a second
+    # caller of the cover rule, which holds on reduced words only, must not
+    # come back
     sites = {
         (path.stem, where, what)
         for path in MODULES
@@ -134,7 +133,7 @@ def test_one_constructor_records_every_word_poset():
     }
     assert sites == {
         ("word_poset", "_recorded_poset", "object.__new__(WordPoset)"),
-        ("word_poset", "__getattr__", "_word_covers"),
+        ("word_poset", "_recorded_poset", "_word_covers"),
     }
 
 
