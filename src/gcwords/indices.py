@@ -3,30 +3,26 @@
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
-function reads one word of the poset's class, its `_reading`, and then
-works on letters alone: the word the poset was built from, with the element
-at each row, or for a poset that keeps no word its lexmin word, checked
-once to have the poset as its poset.  The chains and ideals read the
-crossing table of that word, cached beside it, and the indices, profiles
-and classification the stage table cached beside that.  The contractions,
-past the same check, read the lexmin word, whichever word the poset keeps,
-because the contracted poset is labeled along it; they take the chain off
-the cached crossing table and find its elements in the lexmin word.  The
-chains are the rows where wires 1 and n+1 cross.  A contraction drops a
-chain's rows and shifts one side down a column, which deletes wire 1 (A)
-or wire n+1 (D); deletions commute, so the stage after a A- and d
-D-contractions is the sub-arrangement on wires a+1..n+1-d.  Its indices
-are read off the word's crossing table, with no contracted word: a
-crossing of wires i and j lies above the chain of wire lo (resp. hi)
-exactly when that wire crosses both before they cross each other.  One
-table holds the indices of every stage, filled by running sums
-(`wiring._stage_table`): a stage's ind_A is that of the stage without its
-top wire plus one test per inner wire, and its ind_D likewise from the
-stage without its bottom wire, O(n^3) tests in all.  The poset builds it
-once, and all five index routes read it: ind_A and ind_D the top stage,
-delta_index the stages that `_delta_positions` names, full_profile every
-delta's vector through a plan of those positions built once per rank, and
-classify_gc the greedy walk.
+function reads one word of the poset's class, its `_reading` (see
+`word_poset`), and then works on letters alone.  The chains, ideals and
+contractions read the crossing table of that word, cached beside it, and
+the indices, profiles and classification the stage table cached beside
+that.  The chains are the rows where wires 1 and n+1 cross.  A contraction
+drops a chain's rows and shifts one side down a column, which deletes wire
+1 (A) or wire n+1 (D).  It returns the canonical poset of the contracted
+class, so every word of the class gives the same result.  Deletions
+commute, so the stage after a A- and d D-contractions is the
+sub-arrangement on wires a+1..n+1-d.  Its indices are read off the word's
+crossing table, with no contracted word: a crossing of wires i and j lies
+above the chain of wire lo (resp. hi) exactly when that wire crosses both
+before they cross each other.  One table holds the indices of every
+stage, filled by running sums (`wiring._stage_table`): a stage's ind_A is
+that of the stage without its top wire plus one test per inner wire, and
+its ind_D likewise from the stage without its bottom wire, O(n^3) tests in
+all.  The poset builds it once, and all five index routes read it: ind_A
+and ind_D the top stage, delta_index the stages that `_delta_positions`
+names, full_profile every delta's vector through a plan of those positions
+built once per rank, and classify_gc the greedy walk.
 The `verify` oracles count the indices by definition instead, as the later
 rows repeating a chain row's letter, in words contracted along the suffix
 tree of the deltas, and one stage at a time by testing every pair of its
@@ -47,7 +43,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable
 
-from .word_poset import WordPoset, _extension, lexmin_word, poset_of_word
+from .word_poset import WordPoset, _canonical_poset_of_word, _extension, poset_of_word
 from .wiring import _at, _chain_rows
 from .words import DomainError, Word, _splice, longest_element, perm_of_word
 
@@ -142,37 +138,35 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
-    # the lexmin word, whichever word P was built from: the contracted
-    # poset is labeled along it.  Reading P first checks a copy.
-    _ranked(P._reading[0], "a contraction")
-    w = lexmin_word(P)
-    # the chain is the poset's: its rows in w are those of its elements in
-    # the lexmin extension
-    row = {k: r for r, k in enumerate(P._lexmin, start=1)}
-    contracted, kept = _contract(w, tuple(sorted(row[k] for k in _chain(P, kind))), kind)
-    relabel = {P._lexmin[r - 1]: new for new, r in enumerate(kept, start=1)}
-    return poset_of_word(contracted), relabel
+    # the letter rule on P's own word, then the canonical poset of the result
+    w, labels = P._reading
+    _ranked(w, "a contraction")
+    contracted, kept = _contract(w, _chain_rows(w, P._crossing_table)[kind == "D"], kind)
+    Q = _canonical_poset_of_word(contracted.letters)
+    return Q, dict(sorted(zip((labels[r - 1] for r in kept), Q._reading[1])))
 
 
 def contract_D_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
-    """D-contraction plus the old-to-new element relabeling."""
+    """contract_D plus the old-to-new relabeling, keyed in old-label order."""
     return _contract_with_map(P, "D")
 
 
 def contract_A_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
-    """A-contraction plus the old-to-new element relabeling."""
+    """contract_A plus the old-to-new relabeling, keyed in old-label order."""
     return _contract_with_map(P, "A")
 
 
 def contract_D(P: WordPoset) -> WordPoset:
     """Remove the descending chain; columns left of it stay, the part above
-    shifts one column left.  Drops the rank by one."""
+    shifts one column left.  Returns the canonical poset of the contracted
+    class, one rank lower."""
     return contract_D_with_map(P)[0]
 
 
 def contract_A(P: WordPoset) -> WordPoset:
     """Remove the ascending chain; the part below it shifts one column left,
-    the rest stays.  Drops the rank by one."""
+    the rest stays.  Returns the canonical poset of the contracted class,
+    one rank lower."""
     return contract_A_with_map(P)[0]
 
 

@@ -25,8 +25,7 @@ that word's poset.  The column chains, the canonical form, the extension
 count and the Hasse diagram read it.  The chain, ideal and contraction
 routes read the crossing table cached beside it, and the index, profile
 and classification routes the one stage table cached beside that: their
-answers are the same on every word of the class.  The contractions label
-their results along the lexmin word.
+answers are the same on every word of the class.
 
 The strict order and its down-set masks, the ideal test, the stream of all
 linear extensions and the list of all ideals serve only the oracles, and

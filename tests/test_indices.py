@@ -29,6 +29,7 @@ from gcwords.word_poset import (
     WordPoset,
     _canonical_poset_of_word,
     canonical_form,
+    enumerate_commutation_classes,
     is_isomorphic,
     lexmin_word,
     poset_of_word,
@@ -153,7 +154,7 @@ def test_contract_15_letter_figures():
             (2, 4), (4, 7), (3, 5), (5, 8), (6, 9),
         ],
     )
-    assert canonical_form(contract_D(P)) == expected_cd
+    assert contract_D(P) == expected_cd
     expected_ca = _relabeled(
         # elements 1..6, 9, 10, 12, 13 of the original, in that order
         (3, 2, 3, 1, 2, 3, 4, 3, 2, 1),
@@ -162,7 +163,7 @@ def test_contract_15_letter_figures():
             (2, 4), (4, 5),
         ],
     )
-    assert canonical_form(contract_A(P)) == expected_ca
+    assert contract_A(P) == expected_ca
 
 
 def test_contract_severs_relations_through_the_chain():
@@ -545,23 +546,22 @@ def test_public_calls_share_one_entry_check(calls):
 @pytest.mark.parametrize("contract", [contract_A_with_map, contract_D_with_map],
                          ids=["A", "D"])
 def test_contractions_skip_the_check_on_word_posets(calls, contract):
-    # the recorded word proves P a word poset: the contraction reads the
-    # lexmin word and builds the contracted poset, and no second poset
+    # the recorded word proves P a word poset: the contraction applies the
+    # letter rule to that word, with no lexmin word and no second poset
     contract(poset_of_word(standard_word(5)))
-    assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=0,
+    assert calls == Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _stage_table=0,
                             _contract=1)
 
 
 def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
-    # a copy reads its lexmin word, the word the contractions read too, so
-    # both contractions and the profile share the copy's one table.  The
-    # entry check and each contraction ask for the lexmin extension, which
-    # the poset caches; the check builds one poset, each contraction one.
+    # a copy reads its lexmin word, checked once against a second poset;
+    # both contractions and the profile then read that word and share the
+    # copy's one crossing table
     P = copy_of(poset_of_word(random_w0_word(5, random.Random(7))))
     contract_A(P)
     contract_D(P)
     full_profile(P)
-    assert calls == Counter(lexmin_extension=3, poset_of_word=3, _crossings=1, _stage_table=1,
+    assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
                             _contract=2)
 
 
@@ -587,6 +587,68 @@ def test_copies_check_their_lexmin_word_once(calls, route, build):
     calls.clear()
     route(copy_of(P))
     assert calls == ONE_TRACE
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=2, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
+def test_contractions_apply_the_letter_rule_on_any_word_of_the_class(kind, n, seed):
+    # the posets of two words of one class, the canonical poset and a copy
+    # contract to one canonical poset, each kept element to the same new
+    # element; a kept element moves down a column exactly when (it lies in
+    # the contraction ideal) == (kind is A)
+    contract, ideal_of, chain_of = {
+        "A": (contract_A_with_map, contraction_ideal_A, ascending_chain),
+        "D": (contract_D_with_map, contraction_ideal_D, descending_chain),
+    }[kind]
+    rng = random.Random(seed)
+    w = random_w0_word(n, rng)
+    P = poset_of_word(w)
+    extension = random_extension(P, rng)
+    canonical = _canonical_poset_of_word(w.letters)
+    # element r of each poset is element same[r-1] of P
+    for R, same in (
+        (P, range(1, P.size + 1)),
+        (poset_of_word(word_of_extension(P, extension)), extension),
+        (canonical, [canonical._reading[1].index(k) + 1 for k in range(1, P.size + 1)]),
+        (copy_of(P), range(1, P.size + 1)),
+    ):
+        Q, m = contract(R)
+        if R is P:
+            expected_Q, expected_m = Q, m
+            assert Q == canonical_form(Q)
+        assert Q == expected_Q
+        assert list(m) == sorted(m)
+        assert set(m) == set(range(1, R.size + 1)) - set(chain_of(R))
+        assert {same[r - 1]: new for r, new in m.items()} == expected_m
+        ideal = ideal_of(R)
+        for k, new in m.items():
+            assert Q.columns[new - 1] == R.columns[k - 1] - ((k in ideal) == (kind == "A"))
+
+
+# the caches that walk the covers: the lexmin extension and its cover lists
+COVER_WALKS = {"_lexmin", "_lower_covers", "_upper_covers"}
+
+
+def test_recorded_posets_answer_without_walking_their_covers():
+    # a poset built from a word answers every route below off that word, so
+    # none of them builds its lexmin word or its cover lists
+    rng = random.Random(11)
+    recorded = [poset_of_word(random_w0_word(n, rng)) for n in range(1, 7)]
+    recorded += enumerate_commutation_classes(4)
+    recorded += [gc.gc_poset_of_delta("".join(d))
+                 for n in range(1, 7) for d in product("AD", repeat=n - 1)]
+    for P in recorded:
+        classify_gc(P)
+        full_profile(P)
+        for delta in product("AD", repeat=P.rank - 1):
+            delta_index(P, "".join(delta))
+        for route in (ind_A, ind_D, ascending_chain, descending_chain,
+                      contraction_ideal_A, contraction_ideal_D, contract_A, contract_D,
+                      contract_A_with_map, contract_D_with_map,
+                      word_poset.count_linear_extensions, canonical_form):
+            route(P)
+        assert not COVER_WALKS & set(vars(P)), P
 
 
 def route_answers(P):
