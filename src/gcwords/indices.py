@@ -19,7 +19,9 @@ before they cross each other.  One table holds the indices of every
 stage, filled by running sums (`wiring._stage_table`): a stage's ind_A is
 that of the stage without its top wire plus one test per inner wire, and
 its ind_D likewise from the stage without its bottom wire, O(n^3) tests in
-all.  The poset builds it once, and all five index routes read it: ind_A
+all.  The poset builds it once, or inherits it from the class tree of
+`enumerate_commutation_classes` with no crossing table at all
+(`wiring._extended_stage_table`), and all five index routes read it: ind_A
 and ind_D the top stage, delta_index the stages that `_delta_positions`
 names, full_profile every delta's vector through a plan of those positions
 built once per rank, and classify_gc the greedy walk.

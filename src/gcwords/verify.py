@@ -14,9 +14,9 @@ ideals, the word poset from its definition and from the wires of a word's
 diagram, the shifted-diagram poset behind the tableau-count oracle, the
 column-chain search, the indices by their column-count definition, the
 suffix-tree profile built from them, the pair test of one stage's wires
-that checks the stage table, and the 3-move class search.  Of the
-package's modules only the CLI imports this one, and only when its verify
-command runs.
+that checks the stage table and the tables the class tree extends, and the
+3-move class search.  Of the package's modules only the CLI imports this
+one, and only when its verify command runs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .indices import (
     full_profile,
     ind_D,
 )
-from .wiring import chains_from_wires, wires
+from .wiring import _at, _crossings, chains_from_wires, wires
 from .word_poset import (
     WordPoset,
     _extension,
@@ -484,7 +484,10 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
     by canonical word-poset form, the class count matches the reference
     sequence and the count of `count_commutation_classes`, and the splice
     enumeration yields each class once: its set of canonical posets is that
-    of the 2-move components and that of the 3-move search."""
+    of the 2-move components and that of the 3-move search.  The stage table
+    each class inherits down the class tree equals, on every stage (lo, hi),
+    the pair test on the crossings of the class's lexmin word, another word
+    than the one it was spliced from."""
 
     def body():
         words = _all_words(n)
@@ -506,10 +509,22 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
         if expected is not None and classes != expected:
             return False, {"classes": classes, "expected": expected}
         enumerated: set[WordPoset] = set()
+        width = n + 2
         for P in enumerate_commutation_classes(n):
+            w = lexmin_word(P)
             if P in enumerated:
-                return False, {"word": str(lexmin_word(P)), "reason": "class enumerated twice"}
+                return False, {"word": str(w), "reason": "class enumerated twice"}
             enumerated.add(P)
+            table = vars(P).get("_stage_table")
+            if table is None:
+                return False, {"word": str(w), "reason": "class has no stage table from the tree"}
+            rows = _crossings(w)
+            for lo in range(1, width):
+                for hi in range(lo + 1, width):
+                    at = _at(width, lo, hi)
+                    if tuple(table[at : at + 2]) != _indices(rows, lo, hi):
+                        return False, {"word": str(w), "stage": [lo, hi],
+                                       "reason": "tree's stage table differs from the pair test"}
         counted = count_commutation_classes(n)
         if counted != len(enumerated):
             return False, {"classes": len(enumerated), "counted": counted}

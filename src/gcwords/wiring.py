@@ -17,6 +17,8 @@ word poset from a diagram, is an oracle in `verify`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .words import DomainError, Word
 
 
@@ -91,6 +93,43 @@ def _stage_table(rows: list[list[int]]) -> list[int]:
             table[at] = a
             table[at + 1] = table[at + below + 1] + d
     return table
+
+
+def _extended_stage_table(table: list[int], lower: Sequence[int], n: int) -> list[int]:
+    """The stage table of the D-extension of a word of rank n-1 over one of
+    its order ideals, from the word's stage table and the ideal's letters
+    lower, in word order.  The extension runs lower on wires 1..n, then
+    the new wire n+1 across all of them, then the rest of the word, so its
+    stages on wires 1..n are the word's.  Let c(lo) count the wires above
+    lo that lo crosses in lower: wire lo crosses wire n+1 after those and
+    before the rest.  So adding wire n+1 to the stage on wires lo..n adds
+    c(lo) to ind_A, and adding wire lo to the stage on wires lo+1..n+1
+    adds to ind_D the n - lo - c(lo) wires above lo that it crosses after
+    n+1.  O(|lower| + n^2), the copy of the word's rows included."""
+    arrangement = list(range(n + 1))  # arrangement[c]: the wire at column c
+    crossed = [0] * (n + 1)
+    for c in lower:
+        # the wire at column c is the lower of the two: they have not crossed
+        u = arrangement[c]
+        crossed[u] += 1
+        arrangement[c], arrangement[c + 1] = arrangement[c + 1], u
+    width, old = n + 2, n + 1
+    extended = [0] * _at(width, width, 0)
+    # _at is linear in lo and hi: row lo of a table of width w starts at
+    # _at(w, lo, 0), a step of lo moves `row` (`old_row` in the word's
+    # table), and the stage on wires lo..hi lies _at(0, 0, hi) into its row
+    row, old_row = _at(width, 1, 0), _at(old, 1, 0)
+    top, new = _at(0, 0, n), _at(0, 0, n + 1)
+    at, old_at, d = _at(width, n, 0), _at(old, n, 0), 0
+    for lo in range(n - 1, 0, -1):
+        at -= row
+        old_at -= old_row
+        # the word's stages lo..hi for hi <= n, then the stage lo..n+1
+        extended[at : at + new] = table[old_at : old_at + new]
+        d += n - lo - crossed[lo]
+        extended[at + new] = table[old_at + top] + crossed[lo]
+        extended[at + new + 1] = d
+    return extended
 
 
 def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:

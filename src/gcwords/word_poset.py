@@ -11,9 +11,11 @@ column) is forced, and it is read off the letters of any word of the
 class: the j-th occurrence of c.  And an ideal is fixed by its per-column
 counts, which one int packs, one field per column.  One walker of the
 ideal lattice, on such keys, serves counting linear extensions and
-enumerating and counting commutation classes by word splices.  One
-extension walker, `_extension`, reads a single linear extension under a
-key.
+enumerating and counting commutation classes by word splices.  The
+splices form a class tree: each class of rank n is spliced from one class
+of rank n-1, and inherits its stage table, extended by the stages of the
+new wire.  One extension walker, `_extension`, reads a single linear
+extension under a key.
 
 Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
@@ -25,7 +27,10 @@ that word's poset.  The column chains, the canonical form, the extension
 count and the Hasse diagram read it.  The chain, ideal and contraction
 routes read the crossing table cached beside it, and the index, profile
 and classification routes the one stage table cached beside that: their
-answers are the same on every word of the class.
+answers are the same on every word of the class.  A class poset of
+`enumerate_commutation_classes` comes with the stage table its class tree
+extended, so it builds a crossing table only when a chain, ideal or
+contraction route reads one.
 
 The strict order and its down-set masks, the ideal test, the stream of all
 linear extensions and the list of all ideals serve only the oracles, and
@@ -39,7 +44,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterator, Sequence
 
-from .wiring import _crossings, _stage_table
+from .wiring import _at, _crossings, _extended_stage_table, _stage_table
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
 
@@ -129,7 +134,8 @@ class WordPoset:
     def _stage_table(self) -> list[int]:
         """The stage table of the crossing table (`wiring._stage_table`),
         which the index, delta-index, profile and classification routes
-        read.  Raises, uncached, as _crossing_table does."""
+        read.  Raises, uncached, as _crossing_table does.
+        enumerate_commutation_classes seeds it from the class tree."""
         return _stage_table(self._crossing_table)
 
     @cached_property
@@ -345,17 +351,22 @@ def word_of_extension(P: WordPoset, extension: Sequence[int]) -> Word:
     return Word(P.rank, tuple(P.columns[k - 1] for k in extension))
 
 
-def _class_words(n: int) -> Iterator[tuple[int, ...]]:
-    # One letter word per commutation class at rank n.  Every rank-n class
+def _class_words(n: int, staged: bool) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
+    # The class tree: one letter word per commutation class at rank n, with
+    # its stage table when staged and None otherwise.  Every rank-n class
     # is the D-extension of one rank-(n-1) class Q over one ideal of Q, and
     # each such pair gives a different class, so splicing a fresh descending
     # chain into each word of the rank below, over each ideal of its poset,
     # meets every class once.  The ideal's letters come first: the first
-    # counts[c-1] occurrences of each letter c, in word order.
+    # counts[c-1] occurrences of each letter c, in word order.  A child's
+    # stage table extends its parent's by the stages of the new wire
+    # (`wiring._extended_stage_table`), so each table is built once, from
+    # the one above it, and the tree holds one word and table per rank.
     if n == 0:
-        yield ()
+        # two wires: no stage of three
+        yield (), ([0] * _at(2, 2, 0) if staged else None)
         return
-    for v in _class_words(n - 1):
+    for v, table in _class_words(n - 1, staged):
         needs = _word_needs(v, n - 1)
         counts_of = _ideal_counts(needs)
         for level in _ideal_levels(needs):
@@ -366,23 +377,31 @@ def _class_words(n: int) -> Iterator[tuple[int, ...]]:
                 for c in v:
                     (lower if seen[c] < counts[c - 1] else upper).append(c)
                     seen[c] += 1
-                yield _splice(tuple(lower), tuple(upper), n - 1, "D")
+                yield (
+                    _splice(tuple(lower), tuple(upper), n - 1, "D"),
+                    _extended_stage_table(table, lower, n) if staged else None,
+                )
 
 
 def enumerate_commutation_classes(n: int) -> Iterator[WordPoset]:
     """One canonical word poset per commutation class of the longest element,
     each once.  The classes are built by word splices: each class of rank n
     extends one class of rank n-1 by a descending chain over one of its
-    order ideals.  Holds O(n) words at a time and never materializes the
-    words of a class.
+    order ideals.  Each poset comes with its stage table, extended from its
+    parent's, so the index, profile and classification routes build no
+    crossing or stage table for it.  Holds O(n) words and stage tables at
+    a time and never materializes the words of a class.
 
     >>> sum(1 for _ in enumerate_commutation_classes(3))
     8
     """
     if n < 1:
         raise DomainError(f"rank must be positive, got {n}")
-    for letters in _class_words(n):
-        yield _canonical_poset_of_word(letters)
+    for letters, table in _class_words(n, staged=True):
+        P = _canonical_poset_of_word(letters)
+        # the cached_property's value: the table of the word P records
+        P.__dict__["_stage_table"] = table
+        yield P
 
 
 def count_commutation_classes(n: int) -> int:
@@ -398,7 +417,7 @@ def count_commutation_classes(n: int) -> int:
         raise DomainError(f"rank must be positive, got {n}")
     return sum(
         len(level)
-        for v in _class_words(n - 1)
+        for v, _ in _class_words(n - 1, staged=False)
         for level in _ideal_levels(_word_needs(v, n - 1))
     )
 

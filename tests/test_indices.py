@@ -1,7 +1,7 @@
 import inspect
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,7 +46,7 @@ from gcwords.verify import (
     less,
     suffix_tree_profile,
 )
-from gcwords.words import DomainError, Word, longest_element, parse_word, standard_word
+from gcwords.words import DomainError, Word, _splice, longest_element, parse_word, standard_word
 
 P_STANDARD = poset_of_word(parse_word("1,2,1,3,2,1"))
 P_OTHER = poset_of_word(parse_word("1,3,2,1,3,2"))
@@ -328,6 +328,27 @@ def test_stage_table_matches_single_stages_on_random_words(n, seed):
     assert_stage_table_matches_single_stages(wiring._crossings(random_w0_word(n, random.Random(seed))))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+def test_class_tree_seeds_the_stage_table_of_the_class_word(n):
+    # fresh posets, every class to rank 5 and the first 2,000 of rank 7:
+    # the enumeration seeds the stage table and builds no crossing table
+    for P in islice(enumerate_commutation_classes(n), 2000):
+        assert "_stage_table" in vars(P) and "_crossing_table" not in vars(P)
+        assert vars(P)["_stage_table"] == wiring._stage_table(wiring._crossings(P._reading[0]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32),
+       cut=st.floats(min_value=0, max_value=1))
+def test_extended_stage_table_is_the_table_of_the_splice(n, seed, cut):
+    # a D-extension over the prefix ideal of any word of the rank below
+    v = random_w0_word(n - 1, random.Random(seed)).letters
+    k = round(cut * len(v))
+    table = wiring._stage_table(wiring._crossings(Word(n - 1, v)))
+    spliced = Word(n, _splice(v[:k], v[k:], n - 1, "D"))
+    assert wiring._extended_stage_table(table, v[:k], n) == wiring._stage_table(wiring._crossings(spliced))
+
+
 def test_profile_plan_is_built_once_per_rank():
     indices._profile_plan.cache_clear()
     profiles = [[full_profile(poset_of_word(random_w0_word(n, random.Random(seed))))
@@ -472,8 +493,8 @@ def test_word_walks_read_any_word_of_the_class(n, seed):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls of the lexmin extension, of poset_of_word, of the
-    crossing table, of the stage table and of the contraction, under every
-    name the package reaches them by."""
+    crossing table, of the stage table, of its extension by the class tree
+    and of the contraction, under every name the package reaches them by."""
     counter = Counter()
 
     def counting(name, real):
@@ -488,6 +509,7 @@ def calls(monkeypatch):
         ("poset_of_word", word_poset.poset_of_word),
         ("_crossings", wiring._crossings),
         ("_stage_table", wiring._stage_table),
+        ("_extended_stage_table", wiring._extended_stage_table),
         ("_contract", indices._contract),
     ):
         wrapper = counting(name, real)
@@ -563,6 +585,23 @@ def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
     full_profile(P)
     assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
                             _contract=2)
+
+
+def test_class_posets_read_the_tables_the_tree_seeded(calls):
+    # classifying and profiling every rank-4 class builds no crossing or
+    # stage table; the tree extends one table per class of ranks 1..4, each
+    # parent's once for all its children
+    for P in enumerate_commutation_classes(4):
+        classify_gc(P)
+        full_profile(P)
+    assert calls["_crossings"] == calls["_stage_table"] == 0
+    assert calls["_extended_stage_table"] == 1 + 2 + 8 + 62
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_count_commutation_classes_builds_no_table(calls, n):
+    assert word_poset.count_commutation_classes(n) == {1: 1, 4: 62, 6: 24698}[n]
+    assert calls["_extended_stage_table"] == calls["_crossings"] == calls["_stage_table"] == 0
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])

@@ -21,6 +21,7 @@ from gcwords.verify import (
     run_checks,
 )
 from gcwords.indices import ind_A
+from gcwords import wiring, word_poset
 from gcwords.word_poset import canonical_form, poset_of_word
 from gcwords.words import (
     DomainError,
@@ -28,6 +29,9 @@ from gcwords.words import (
     apply_3move,
     legal_2moves,
     legal_3moves,
+    longest_element,
+    parse_word,
+    perm_of_word,
     standard_word,
 )
 
@@ -41,6 +45,30 @@ def test_tits_connectivity_small(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_class_poset_equivalence_small(n):
     assert check_class_poset_equivalence(n).passed
+
+
+def test_class_poset_equivalence_names_the_stage_a_tree_table_gets_wrong(monkeypatch):
+    real = wiring._extended_stage_table
+
+    def off_by_one(table, lower, n):
+        # ind_A of the stage on wires 1..4, on the classes of rank 3
+        extended = real(table, lower, n)
+        if n == 3:
+            extended[wiring._at(n + 2, 1, n + 1)] += 1
+        return extended
+
+    monkeypatch.setattr(word_poset, "_extended_stage_table", off_by_one)
+    report = check_class_poset_equivalence(3)
+    assert not report.passed
+    assert report.counterexample["stage"] == [1, 4]
+    assert perm_of_word(parse_word(report.counterexample["word"])) == longest_element(4)
+
+
+def test_class_poset_equivalence_needs_the_tree_tables(monkeypatch):
+    monkeypatch.setattr(word_poset, "_extended_stage_table", lambda table, lower, n: None)
+    report = check_class_poset_equivalence(3)
+    assert not report.passed
+    assert report.counterexample["reason"] == "class has no stage table from the tree"
 
 
 def test_injectivity_small():
