@@ -9,9 +9,11 @@ only field that varies between runs.
 The slow independent routes live here, off the production modules: the
 strict order `less` by down-set masks and the ideal test `is_ideal`, the
 count of reduced words by descents, the stream of all linear extensions
-(and with it the words of a class and the GC words), the list of all
-ideals, the word poset from its definition and from the wires of a word's
-diagram, the shifted-diagram poset behind the tableau-count oracle, the
+(and with it the words of a class and the GC words), the ideals by a
+breadth-first search over bitmasks, apart from the production walker, the
+word poset from its definition and from the wires of a word's diagram, the
+shifted-diagram poset behind the tableau-count oracle, the count of one GC
+class by the recurrence's product over the runs of its delta, the
 column-chain search, the indices by their column-count definition, the
 suffix-tree profile built from them, the pair test of one stage's wires
 that checks the stage table and the tables the class tree extends, and the
@@ -26,7 +28,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Iterator
 
 from .gc import (
@@ -36,6 +38,7 @@ from .gc import (
     gc_direct,
     gc_poset_of_delta,
     gc_recurrence,
+    thrall_g,
     validate_strict,
 )
 from .indices import (
@@ -52,13 +55,12 @@ from .indices import (
     extend_D,
     full_profile,
     ind_D,
+    validate_delta,
 )
 from .wiring import _at, _crossings, chains_from_wires, wires
 from .word_poset import (
     WordPoset,
     _extension,
-    _ideal_counts,
-    _ideal_levels,
     canonical_form,
     count_commutation_classes,
     count_linear_extensions,
@@ -278,13 +280,23 @@ def _poset_needs(P: WordPoset) -> list[list[list[tuple[int, int]]]]:
 
 
 def ideals(P: WordPoset) -> Iterator[frozenset]:
-    """All order ideals, smallest first, deterministically ordered."""
+    """All order ideals, smallest first, and within a size in the order of
+    their per-column counts, columns ascending.  The ideal oracle, apart
+    from the production walker: a breadth-first search over bitmask ideals
+    that adds an element once its down-set is placed.  Raises unless each
+    column is a chain, as then the counts name each ideal once."""
     chains = _lexmin_chains(P)
-    needs = _poset_needs(P)
-    counts_of = _ideal_counts(needs)
-    for level in _ideal_levels(needs):
-        for key in sorted(level):
-            yield frozenset(k for chain, c in zip(chains, counts_of(key)) for k in chain[:c])
+    down = _down_masks(P)
+    level = {0}
+    while level:
+        found = [frozenset(_bits(mask)) for mask in level]
+        yield from sorted(found, key=lambda I: tuple(len(I.intersection(c)) for c in chains))
+        level = {
+            mask | 1 << k
+            for mask in level
+            for k, below in enumerate(down)
+            if not mask >> k & 1 and not below & ~mask
+        }
 
 
 def poset_of_wiring(w: Word) -> WordPoset:
@@ -809,6 +821,51 @@ def count_gc_words_brute(n: int) -> int:
     return hits
 
 
+def gc_count_by_runs(delta: str) -> int:
+    """The per-delta oracle of the recurrence: the number of words of the
+    GC class of delta, one shifted tableau count per run of delta, top run
+    first.  For delta of rank n (length n-1) whose last run has length L,
+    e(P_delta) = g(n, n-1, ..., n-L+1) * e(P_delta'), where delta' is delta
+    without that run, of rank n-L, e counts linear extensions and g is
+    `thrall_g`; e = 1 at rank 1.  Summed over delta, the products regroup
+    into `gc_recurrence`.
+
+    >>> gc_count_by_runs("DD"), gc_count_by_runs("AD"), gc_count_by_runs("ADDD")
+    (2, 1, 110)
+    """
+    n = len(validate_delta(delta)) + 1
+    count = 1
+    for _, run in groupby(reversed(delta)):
+        length = len(list(run))
+        count *= thrall_g(range(n, n - length, -1))
+        n -= length
+    return count
+
+
+def check_recurrence_by_delta(n: int = 9) -> Report:
+    """For every delta of rank 1..n, the linear extensions of the GC poset
+    of delta number `gc_count_by_runs(delta)`: the paper's recurrence holds
+    as a product law on each GC poset, not only as a sum over the rank.
+    These are the counts `gc_direct` sums."""
+
+    def body():
+        for m in range(1, n + 1):
+            for letters in product("AD", repeat=m - 1):
+                delta = "".join(letters)
+                P = gc_poset_of_delta(delta)
+                counted, by_runs = count_linear_extensions(P), gc_count_by_runs(delta)
+                if counted != by_runs:
+                    return False, {
+                        "delta": delta,
+                        "word": str(lexmin_word(P)),
+                        "counted": str(counted),
+                        "by_runs": str(by_runs),
+                    }
+        return True, None
+
+    return _run("recurrence_by_delta", {"n": n}, body)
+
+
 def check_table1(n_max: int = 8, brute_max: int = 5) -> Report:
     """gc(n) by recurrence and by direct linear-extension sums equals the
     reference table; additionally, up to brute_max, so do the word-by-word
@@ -849,6 +906,7 @@ ALL_CHECKS: dict[str, Callable[..., Report]] = {
     "injectivity_theorem": check_injectivity_theorem,
     "contraction_laws": check_contraction_laws,
     "mirror_laws": check_mirror_laws,
+    "recurrence_by_delta": check_recurrence_by_delta,
     "table1": check_table1,
 }
 

@@ -10,8 +10,13 @@ lies above it.  The canonical relabeling (by column, then height in the
 column) is forced, and it is read off the letters of any word of the
 class: the j-th occurrence of c.  And an ideal is fixed by its per-column
 counts, which one int packs, one field per column.  One walker of the
-ideal lattice, on such keys, serves counting linear extensions and
-enumerating and counting commutation classes by word splices.  The
+ideal lattice on such keys, `lattice._ideal_levels`, serves counting linear
+extensions and enumerating and counting commutation classes by word
+splices; it reads the needs of each element off a word (`_word_needs`).
+Each ideal carries its frontier, the bit set of its addable columns.  An
+element's needs name only the columns beside its own, since covers join
+adjacent columns, so adding to column c retests only columns c-1, c and
+c+1 and copies the other bits; the walker checks that precondition.  The
 splices form a class tree: each class of rank n is spliced from one class
 of rank n-1, and inherits its stage table, extended by the stages of the
 new wire.  One extension walker, `_extension`, reads a single linear
@@ -33,8 +38,8 @@ extended, so it builds a crossing table only when a chain, ideal or
 contraction route reads one.
 
 The strict order and its down-set masks, the ideal test, the stream of all
-linear extensions and the list of all ideals serve only the oracles, and
-live in `verify`.
+linear extensions and the ideals by a breadth-first search over bitmasks
+serve only the oracles, and live in `verify`.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from .lattice import _ideal_counts, _ideal_levels
 from .wiring import _at, _crossings, _extended_stage_table, _stage_table
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
@@ -231,61 +237,6 @@ def canonical_form(P: WordPoset) -> WordPoset:
 def is_isomorphic(P: WordPoset, Q: WordPoset) -> bool:
     """Column-preserving poset isomorphism, decided via canonical forms."""
     return canonical_form(P) == canonical_form(Q)
-
-
-def _ideal_fields(needs: Sequence[Sequence]) -> tuple[int, list[int]]:
-    # The packed key's layout: one field per column, wide enough for the
-    # longest column, column 0 the most significant, so that int order is
-    # the lexicographic order of the per-column counts.  Returns the field
-    # width and each column's shift.
-    width = max(map(len, needs), default=0).bit_length()
-    return width, [width * ci for ci in reversed(range(len(needs)))]
-
-
-def _ideal_counts(needs: Sequence[Sequence]) -> Callable[[int], tuple[int, ...]]:
-    # the decoder of the walker's keys on this table: key -> per-column counts
-    width, shifts = _ideal_fields(needs)
-    mask = (1 << width) - 1
-    return lambda key: tuple(key >> shift & mask for shift in shifts)
-
-
-def _ideal_levels(
-    needs: Sequence[Sequence[Sequence[tuple[int, int]]]],
-) -> Iterator[dict[int, int]]:
-    """The lattice of order ideals, one level per ideal size, smallest
-    first.  A level maps each ideal to the number of ways to build it one
-    element at a time (its linear extensions).  An ideal meets each column
-    chain in a prefix, so its per-column counts determine it; its key packs
-    them into one int, laid out by `_ideal_fields`.
-
-    needs[ci][h] lists pairs (cj, m): the element at height h+1 of column
-    ci is addable once column cj holds at least m elements.  len(needs[ci])
-    is the length of column ci."""
-    width, shifts = _ideal_fields(needs)
-    mask = (1 << width) - 1
-    # per column: its field's shift, the step that adds its next element,
-    # and for each count h the needs of element h+1 as (shift, m) pairs,
-    # then None once the column is full
-    columns = [
-        (shift, 1 << shift, [[(shifts[cj], m) for cj, m in row] for row in rows] + [None])
-        for shift, rows in zip(shifts, needs)
-    ]
-    level = {0: 1}
-    while level:
-        yield level
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, ways in level.items():
-            for shift, step, rows in columns:
-                row = rows[key >> shift & mask]
-                if row is None:
-                    continue
-                for rshift, m in row:
-                    if key >> rshift & mask < m:
-                        break
-                else:
-                    nxt[key + step] = get(key + step, 0) + ways
-        level = nxt
 
 
 def _word_needs(letters: Sequence[int], rank: int) -> list[list[list[tuple[int, int]]]]:

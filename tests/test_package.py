@@ -147,7 +147,7 @@ def test_importing_the_cli_leaves_verify_unloaded():
     assert (result.returncode, result.stdout.strip()) == (0, "False"), result.stderr
 
 
-PRODUCTION = ("words", "word_poset", "wiring", "indices", "gc")
+PRODUCTION = ("words", "lattice", "word_poset", "wiring", "indices", "gc")
 CALLERS = [PACKAGE / f"{stem}.py" for stem in PRODUCTION + ("cli", "verify")]
 CALLERS.append(PACKAGE.parent.parent / "bench" / "workloads.py")
 

@@ -14,15 +14,23 @@ from gcwords.verify import (
     check_contraction_laws,
     check_injectivity_theorem,
     check_mirror_laws,
+    check_recurrence_by_delta,
     check_table1,
     check_tits_connectivity,
     count_gc_words_brute,
+    gc_count_by_runs,
     projection_key,
     run_checks,
 )
+from gcwords.gc import gc_poset_of_delta, gc_recurrence
 from gcwords.indices import ind_A
 from gcwords import wiring, word_poset
-from gcwords.word_poset import canonical_form, poset_of_word
+from gcwords.word_poset import (
+    canonical_form,
+    count_linear_extensions,
+    lexmin_word,
+    poset_of_word,
+)
 from gcwords.words import (
     DomainError,
     apply_2move,
@@ -101,6 +109,54 @@ def test_mirror_laws_fail_on_routes_blind_to_the_flip(monkeypatch):
             report = check_mirror_laws(3)
         assert not report.passed
         assert report.counterexample["reason"] == reason
+
+
+def test_recurrence_by_delta():
+    report = check_recurrence_by_delta()
+    assert report.passed and report.params == {"n": 9}
+
+
+def test_recurrence_by_delta_names_the_delta_a_walker_miscounts(monkeypatch):
+    # count_linear_extensions reads the walker through word_poset's name
+    real = word_poset._ideal_levels
+    P = gc_poset_of_delta("DAAD")
+    miscounted = word_poset._word_needs(P._reading[0].letters, 5)
+
+    def off_by_one(needs):
+        # one more way to the full ideal, on the table of one GC poset
+        levels = list(real(needs))
+        if needs == miscounted:
+            ((key, ways),) = levels[-1].items()
+            levels[-1] = {key: ways + 1}
+        return iter(levels)
+
+    monkeypatch.setattr(word_poset, "_ideal_levels", off_by_one)
+    report = check_recurrence_by_delta(5)
+    assert not report.passed
+    counterexample = report.counterexample
+    assert counterexample["delta"] == "DAAD"
+    assert int(counterexample["counted"]) == int(counterexample["by_runs"]) + 1
+    assert counterexample["word"] == str(lexmin_word(P))
+    assert canonical_form(poset_of_word(parse_word(counterexample["word"]))) == P
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(min_value=10, max_value=11).flatmap(
+        lambda n: st.text("AD", min_size=n - 1, max_size=n - 1)
+    )
+)
+def test_recurrence_by_delta_at_ranks_10_and_11(delta):
+    assert count_linear_extensions(gc_poset_of_delta(delta)) == gc_count_by_runs(delta)
+
+
+def test_gc_count_by_runs_sums_to_the_recurrence():
+    # one product per delta, regrouped over the deltas of a rank
+    for n in range(1, 12):
+        total = sum(gc_count_by_runs("".join(d)) for d in product("AD", repeat=n - 1))
+        assert total == gc_recurrence(n)
+    with pytest.raises(DomainError):
+        gc_count_by_runs("ADX")
 
 
 def test_table1_small():
@@ -208,5 +264,6 @@ def test_run_checks_selection():
         "injectivity_theorem",
         "contraction_laws",
         "mirror_laws",
+        "recurrence_by_delta",
         "table1",
     }

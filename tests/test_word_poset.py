@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 from itertools import combinations, permutations, product
 from math import prod
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwords.gc import gc_poset_of_delta
+from gcwords.lattice import _ideal_counts, _ideal_levels
 from gcwords.verify import (
     _classes_by_3moves,
     _covers_from_below,
@@ -26,7 +28,6 @@ from gcwords.word_poset import (
     _canonical_poset_of_word,
     _class_words,
     _extension,
-    _ideal_levels,
     _word_needs,
     canonical_form,
     count_commutation_classes,
@@ -253,6 +254,55 @@ def test_long_columns_widen_the_packed_key():
     assert list(ideals(chain))[-1] == frozenset(range(1, size + 1))
 
 
+def walker_levels_are_the_oracle_ideals(P, needs):
+    # the walker's levels on the table needs of P, decoded to per-column
+    # counts, against the breadth-first search over bitmask ideals of the
+    # ideal oracle, as sets per size
+    counts_of = _ideal_counts(needs)
+    walked = [{counts_of(key) for key in level} for level in _ideal_levels(needs)]
+    columns = sorted(set(P.columns))
+    found = [set() for _ in range(P.size + 1)]
+    for I in ideals(P):
+        found[len(I)].add(tuple(sum(P.columns[k - 1] == c for k in I) for c in columns))
+    return walked == found
+
+
+def test_walker_levels_are_the_oracle_ideals(classes_of_rank):
+    for n in range(1, 8):
+        for letters in product("AD", repeat=n - 1):
+            P = gc_poset_of_delta("".join(letters))
+            assert walker_levels_are_the_oracle_ideals(P, _word_needs(P._reading[0].letters, n))
+    for n in range(1, 5):
+        for P in classes_of_rank(n):
+            assert walker_levels_are_the_oracle_ideals(P, _word_needs(P._reading[0].letters, n))
+    # the zigzag chain of test_long_columns_widen_the_packed_key, walked on
+    # the covers' table
+    chain = WordPoset((1, 2) * 69 + (1,), tuple((i, i + 1) for i in range(1, 139)))
+    assert walker_levels_are_the_oracle_ideals(chain, _poset_needs(chain))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(min_value=5, max_value=7),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+)
+def test_walker_levels_are_the_oracle_ideals_on_random_words(n, choices):
+    w = random_braid_walk(standard_word(n), choices)
+    assert walker_levels_are_the_oracle_ideals(poset_of_word(w), _word_needs(w.letters, n))
+
+
+def test_walker_needs_name_neighbour_columns():
+    # a successor's frontier retests only the columns beside the one that
+    # grew, which holds only when every need names a neighbour column
+    for needs, far in (
+        ([[[(2, 1)]], [], [[]]], 2),
+        ([[], [[(1, 1)]]], 1),
+        ([[[(-1, 1)]]], -1),
+    ):
+        with pytest.raises(DomainError, match=rf"names column {far}, not a neighbour$"):
+            next(_ideal_levels(needs))
+
+
 def test_linear_extensions_stream_matches_count(classes_of_rank):
     for n in (2, 3, 4):
         for P in classes_of_rank(n):
@@ -386,6 +436,20 @@ def test_count_commutation_classes_oeis():
 def test_class_words_rank6_are_distinct_classes():
     keys = {projection_key(Word(6, letters)) for letters, _ in _class_words(6, staged=False)}
     assert len(keys) == 24698
+
+
+# sha256 of the letters of every rank-5 class word, comma-separated, one
+# word a line, in the order the class tree yields them
+CLASS_TREE_RANK5_SHA256 = "0de362fe24b1dd0f02d54dc3da115b1c45fcc7f6c87193034f13fce67bd190c8"
+
+
+def test_class_tree_order_is_pinned():
+    # the walker's key order, ideals in level order and each ideal's
+    # successors by ascending column, fixes the order of the class tree
+    digest = hashlib.sha256()
+    for letters, _ in _class_words(5, staged=False):
+        digest.update((",".join(map(str, letters)) + "\n").encode())
+    assert digest.hexdigest() == CLASS_TREE_RANK5_SHA256
 
 
 def test_braid_triples_match_word_level_3moves(words_of_rank):
