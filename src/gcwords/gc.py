@@ -24,7 +24,7 @@ from .word_poset import (
     count_linear_extensions,
     enumerate_commutation_classes,
 )
-from .words import DomainError, _splice
+from .words import DomainError
 
 
 class BudgetExceeded(DomainError):
@@ -74,10 +74,13 @@ def classify_gc(P: WordPoset) -> str | None:
 
 
 def gc_poset_of_delta(delta: str) -> WordPoset:
-    """The canonical GC-type word poset classified by delta: start from the
-    one-letter word and splice in a chain over the whole word, one letter of
-    delta at a time (an extension over the full ideal).  An all-D delta
-    gives the standard word.
+    """The canonical GC-type word poset classified by delta.  Its word
+    starts from the one-letter word and splices in a chain over the whole
+    word, one letter of delta at a time (an extension over the full ideal):
+    at rank r a D appends r+1, ..., 1, and an A shifts the word up a column
+    and appends 1, ..., r+1.  So the word is those chains in order, each
+    shifted up by the number of A's after it, and is written in one pass.
+    An all-D delta gives the standard word.
 
     >>> classify_gc(gc_poset_of_delta("AD"))
     'AD'
@@ -86,9 +89,14 @@ def gc_poset_of_delta(delta: str) -> WordPoset:
     '1,2,1,3,2,1'
     """
     validate_delta(delta)
-    letters: tuple[int, ...] = (1,)
+    shift = delta.count("A")
+    letters = [1 + shift]
     for rank, kind in enumerate(delta, 1):
-        letters = _splice(letters, (), rank, kind)
+        if kind == "A":
+            shift -= 1
+            letters.extend(range(1 + shift, rank + 2 + shift))
+        else:
+            letters.extend(range(rank + 1 + shift, shift, -1))
     return _canonical_poset_of_word(letters)
 
 

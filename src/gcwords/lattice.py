@@ -4,14 +4,16 @@ class tree of `word_poset`.
 
 An order ideal meets each column chain in a prefix, so its per-column
 counts determine it, and one int packs them, one field per column
-(`_ideal_fields`).  The walker reads a table of needs, not a poset: the
-element at each height of each column is addable once its neighbour columns
-hold enough elements.  Covers join adjacent columns, so every need names a
-neighbour column, and the walker checks that it does.  Each ideal carries
-its frontier, the bit set of its addable columns; adding an element to
-column c changes only what columns c-1, c and c+1 read, so a successor's
-frontier is its parent's with those three bits retested and the rest
-copied.
+(`_ideal_fields`).  The walker reads a table of needs, not a poset: two
+rows of counts per column, left and right, where the element at height h+1
+of column c is addable once columns c-1 and c+1 hold left[h] and right[h]
+elements.  Covers join adjacent columns, so the two rows name every need
+an element has; the first column has no left neighbour and the last no
+right one, and the walker checks that their rows there are zero.  Each
+ideal carries its frontier, the bit set of its addable columns; adding an
+element to column c changes only what columns c-1, c and c+1 read, so a
+successor's frontier is its parent's with those three bits retested and
+the rest copied.
 """
 
 from __future__ import annotations
@@ -21,16 +23,20 @@ from typing import Callable, Iterator, Sequence
 from .words import DomainError
 
 
-def _ideal_fields(needs: Sequence[Sequence]) -> tuple[int, list[int]]:
+def _ideal_fields(
+    needs: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> tuple[int, list[int]]:
     # The packed key's layout: one field per column, wide enough for the
     # longest column, column 0 the most significant, so that int order is
     # the lexicographic order of the per-column counts.  Returns the field
     # width and each column's shift.
-    width = max(map(len, needs), default=0).bit_length()
+    width = max((len(left) for left, _ in needs), default=0).bit_length()
     return width, [width * ci for ci in reversed(range(len(needs)))]
 
 
-def _ideal_counts(needs: Sequence[Sequence]) -> Callable[[int], tuple[int, ...]]:
+def _ideal_counts(
+    needs: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> Callable[[int], tuple[int, ...]]:
     # the decoder of the walker's keys on this table: key -> per-column counts
     width, shifts = _ideal_fields(needs)
     mask = (1 << width) - 1
@@ -46,7 +52,7 @@ _FRONTIER_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
 def _ideal_levels(
-    needs: Sequence[Sequence[Sequence[tuple[int, int]]]],
+    needs: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> Iterator[dict[int, int]]:
     """The lattice of order ideals, one level per ideal size, smallest
     first.  A level maps each ideal to the number of ways to build it one
@@ -56,11 +62,13 @@ def _ideal_levels(
     determine it; its key packs them into one int, laid out by
     `_ideal_fields`.
 
-    needs[ci][h] lists pairs (cj, m): the element at height h+1 of column
-    ci is addable once column cj holds at least m elements.  len(needs[ci])
-    is the length of column ci.  Every need names a neighbour column, cj =
-    ci-1 or ci+1, as covers join adjacent columns; a table with any other
-    need raises DomainError.
+    needs[ci] is a pair of rows (left, right), each as long as column ci:
+    the element at height h+1 of column ci is addable once column ci-1
+    holds at least left[h] elements and column ci+1 at least right[h] (0
+    for no need).  Column 0 has no left neighbour and the last column no
+    right one, so a table with rows of unequal length, a nonzero left need
+    in column 0 or a nonzero right need in the last column raises
+    DomainError.
 
     Each ideal carries its frontier, the bit set of its addable columns.
     Adding an element to column ci changes the count of ci alone, which
@@ -72,25 +80,19 @@ def _ideal_levels(
     full = mask + 1  # more than any count
     last = len(needs) - 1
     # per column: its frontier bit, its field's shift, and the shifts of its
-    # left and right neighbours' fields, each with the least count it must
-    # hold for element h+1 to be addable, per count h (0 for no need), then
+    # left and right neighbours' fields, each with its row of needs, then
     # full, as no element is left
     tests = []
     start = 0  # the frontier of the empty ideal, where every count is 0
-    for ci, rows in enumerate(needs):
-        left = [0] * len(rows)
-        right = left + [full]
-        left.append(full)
-        for h, row in enumerate(rows):
-            for cj, m in row:
-                if cj == ci - 1 and ci:
-                    if m > left[h]:
-                        left[h] = m
-                elif cj == ci + 1 and ci < last:
-                    if m > right[h]:
-                        right[h] = m
-                else:
-                    raise DomainError(f"a need of column {ci} names column {cj}, not a neighbour")
+    for ci, (left, right) in enumerate(needs):
+        if len(left) != len(right):
+            raise DomainError(f"the need rows of column {ci} differ in length")
+        if ci == 0 and any(left):
+            raise DomainError("column 0 needs a column left of it")
+        if ci == last and any(right):
+            raise DomainError(f"column {ci} needs a column right of it")
+        left = [*left, full]
+        right = [*right, full]
         tests.append(
             (1 << ci, shifts[ci], shifts[ci - 1] if ci else 0, left,
              shifts[ci + 1] if ci < last else 0, right)

@@ -12,8 +12,9 @@ count of reduced words by descents, the stream of all linear extensions
 (and with it the words of a class and the GC words), the ideals by a
 breadth-first search over bitmasks, apart from the production walker, the
 word poset from its definition and from the wires of a word's diagram, the
-shifted-diagram poset behind the tableau-count oracle, the count of one GC
-class by the recurrence's product over the runs of its delta, the
+shifted-diagram poset behind the tableau-count oracle, the word of one GC
+class by its splices, rank by rank, and its count by the recurrence's
+product over the runs of its delta, the
 column-chain search, the indices by their column-count definition, the
 suffix-tree profile built from them, the pair test of one stage's wires
 that checks the stage table and the tables the class tree extends, and the
@@ -74,6 +75,7 @@ from .words import (
     DomainError,
     Perm,
     Word,
+    _splice,
     apply_2move,
     apply_3move,
     enumerate_reduced_words,
@@ -270,13 +272,21 @@ def _lexmin_chains(P: WordPoset) -> list[list[int]]:
     return [groups[col] for col in sorted(groups)]
 
 
-def _poset_needs(P: WordPoset) -> list[list[list[tuple[int, int]]]]:
-    """The ideal walker's table read off the covers: an element is addable
-    once each lower cover x is in, i.e. once the count of x's chain reaches
-    x's height there.  Serves posets that are no word's poset too."""
+def _poset_needs(P: WordPoset) -> list[tuple[list[int], list[int]]]:
+    """The ideal walker's table read off the order: per column chain, the
+    rows (left, right) giving, for each element, how many elements of the
+    chains left and right of its own lie below it.  Each column being a
+    chain, that is the greatest height there among the elements below it.
+    Serves posets that are no word's poset too."""
     chains = _lexmin_chains(P)
-    place = {k: (ci, h) for ci, chain in enumerate(chains) for h, k in enumerate(chain, 1)}
-    return [[[place[x] for x in P._lower_covers[k - 1]] for k in chain] for chain in chains]
+    down = _down_masks(P)
+
+    def row(chain, ci):
+        if not 0 <= ci < len(chains):
+            return [0] * len(chain)
+        return [sum(down[k - 1] >> (x - 1) & 1 for x in chains[ci]) for k in chain]
+
+    return [(row(chain, ci - 1), row(chain, ci + 1)) for ci, chain in enumerate(chains)]
 
 
 def ideals(P: WordPoset) -> Iterator[frozenset]:
@@ -821,6 +831,21 @@ def count_gc_words_brute(n: int) -> int:
     return hits
 
 
+def gc_word_by_splices(delta: str) -> tuple[int, ...]:
+    """The letters of the GC poset of delta by the splices themselves:
+    from the one-letter word, splice a chain over the whole word for each
+    letter of delta (`words._splice`), rank by rank.  The oracle of the
+    one-pass word of `gc_poset_of_delta`.
+
+    >>> gc_word_by_splices("AD")
+    (2, 1, 2, 3, 2, 1)
+    """
+    letters: tuple[int, ...] = (1,)
+    for rank, kind in enumerate(validate_delta(delta), 1):
+        letters = _splice(letters, (), rank, kind)
+    return letters
+
+
 def gc_count_by_runs(delta: str) -> int:
     """The per-delta oracle of the recurrence: the number of words of the
     GC class of delta, one shifted tableau count per run of delta, top run
@@ -846,13 +871,21 @@ def check_recurrence_by_delta(n: int = 9) -> Report:
     """For every delta of rank 1..n, the linear extensions of the GC poset
     of delta number `gc_count_by_runs(delta)`: the paper's recurrence holds
     as a product law on each GC poset, not only as a sum over the rank.
-    These are the counts `gc_direct` sums."""
+    These are the counts `gc_direct` sums.  The word each GC poset records
+    is checked first against `gc_word_by_splices(delta)`."""
 
     def body():
         for m in range(1, n + 1):
             for letters in product("AD", repeat=m - 1):
                 delta = "".join(letters)
                 P = gc_poset_of_delta(delta)
+                recorded, spliced = P._reading[0].letters, gc_word_by_splices(delta)
+                if recorded != spliced:
+                    return False, {
+                        "delta": delta,
+                        "recorded_word": ",".join(map(str, recorded)),
+                        "spliced_word": ",".join(map(str, spliced)),
+                    }
                 counted, by_runs = count_linear_extensions(P), gc_count_by_runs(delta)
                 if counted != by_runs:
                     return False, {

@@ -12,11 +12,9 @@ class: the j-th occurrence of c.  And an ideal is fixed by its per-column
 counts, which one int packs, one field per column.  One walker of the
 ideal lattice on such keys, `lattice._ideal_levels`, serves counting linear
 extensions and enumerating and counting commutation classes by word
-splices; it reads the needs of each element off a word (`_word_needs`).
-Each ideal carries its frontier, the bit set of its addable columns.  An
-element's needs name only the columns beside its own, since covers join
-adjacent columns, so adding to column c retests only columns c-1, c and
-c+1 and copies the other bits; the walker checks that precondition.  The
+splices.  It reads a word's table (`_word_needs`), one pass over the
+letters: per column c, two rows counting the occurrences of c-1 and of
+c+1 before each occurrence of c, the only columns an element needs.  The
 splices form a class tree: each class of rank n is spliced from one class
 of rank n-1, and inherits its stage table, extended by the stages of the
 new wire.  One extension walker, `_extension`, reads a single linear
@@ -208,21 +206,22 @@ def poset_of_word(w: Word) -> WordPoset:
 
 def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
     # canonical_form(poset_of_word(w)) for a reduced word w, read off its
-    # letters: the column chain of c lists the occurrences of c in word
-    # order, so the j-th occurrence of c is element offset(c) + j, where
-    # offset(c) counts the letters below c.
+    # letters: the columns list each c counts(c) times, and the column chain
+    # of c lists the occurrences of c in word order, so the j-th occurrence
+    # of c is element offset(c) + j, where offset(c) counts the letters below c.
     counts = [0] * (max(letters, default=0) + 1)
     for c in letters:
         counts[c] += 1
-    offset = [0] * len(counts)
-    for c in range(1, len(counts) - 1):
-        offset[c + 1] = offset[c] + counts[c]
+    offset, columns = [0] * len(counts), []
+    for c in range(1, len(counts)):
+        offset[c] = len(columns)
+        columns += [c] * counts[c]
     label = [0]
     for c in letters:
         offset[c] += 1
         label.append(offset[c])
     w = Word._unchecked(len(counts) - 1, tuple(letters), None)
-    return _recorded_poset(w, tuple(sorted(letters)), tuple(label))
+    return _recorded_poset(w, tuple(columns), tuple(label))
 
 
 def canonical_form(P: WordPoset) -> WordPoset:
@@ -239,14 +238,16 @@ def is_isomorphic(P: WordPoset, Q: WordPoset) -> bool:
     return canonical_form(P) == canonical_form(Q)
 
 
-def _word_needs(letters: Sequence[int], rank: int) -> list[list[list[tuple[int, int]]]]:
-    # The walker's table read off a reduced word with letters in 1..rank, a
-    # column the word does not use left empty: the k-th occurrence of c is
-    # addable once columns c-1 and c+1 hold all their occurrences before it.
-    needs: list[list[list[tuple[int, int]]]] = [[] for _ in range(rank)]
+def _word_needs(letters: Sequence[int], rank: int) -> list[tuple[list[int], list[int]]]:
+    # The walker's table of a reduced word with letters in 1..rank, a column
+    # the word does not use left empty: per column c, the rows (left, right)
+    # count the occurrences of c-1 and c+1 before each occurrence of c.
+    needs = [([], []) for _ in range(rank)]
     seen = [0] * (rank + 2)
     for c in letters:
-        needs[c - 1].append([(d - 1, seen[d]) for d in (c - 1, c + 1) if seen[d]])
+        left, right = needs[c - 1]
+        left.append(seen[c - 1])
+        right.append(seen[c + 1])
         seen[c] += 1
     return needs
 

@@ -19,6 +19,7 @@ from gcwords.verify import (
     check_tits_connectivity,
     count_gc_words_brute,
     gc_count_by_runs,
+    gc_word_by_splices,
     projection_key,
     run_checks,
 )
@@ -138,6 +139,40 @@ def test_recurrence_by_delta_names_the_delta_a_walker_miscounts(monkeypatch):
     assert int(counterexample["counted"]) == int(counterexample["by_runs"]) + 1
     assert counterexample["word"] == str(lexmin_word(P))
     assert canonical_form(poset_of_word(parse_word(counterexample["word"]))) == P
+
+
+def test_gc_poset_words_are_the_splices():
+    # the one-pass word of gc_poset_of_delta against the splices, rank by rank
+    for n in range(1, 11):
+        for letters in product("AD", repeat=n - 1):
+            delta = "".join(letters)
+            assert gc_poset_of_delta(delta)._reading[0].letters == gc_word_by_splices(delta)
+
+
+def test_recurrence_by_delta_names_a_word_one_shift_off(monkeypatch):
+    from gcwords import verify
+
+    def one_shift_off(delta):
+        # the one-pass word, each A chain shifted by the A's from it on
+        # instead of the A's after it
+        shift = delta.count("A")
+        letters = [1 + shift]
+        for rank, kind in enumerate(delta, 1):
+            if kind == "A":
+                letters.extend(range(1 + shift, rank + 2 + shift))
+                shift -= 1
+            else:
+                letters.extend(range(rank + 1 + shift, shift, -1))
+        return word_poset._canonical_poset_of_word(letters)
+
+    monkeypatch.setattr(verify, "gc_poset_of_delta", one_shift_off)
+    report = check_recurrence_by_delta(5)
+    assert not report.passed
+    assert report.counterexample == {
+        "delta": "A",
+        "recorded_word": "2,2,3",
+        "spliced_word": ",".join(map(str, gc_word_by_splices("A"))),
+    }
 
 
 @settings(deadline=None, max_examples=20)

@@ -238,7 +238,7 @@ def test_linear_extension_counts():
 
 def test_long_columns_widen_the_packed_key():
     # a count of 70 needs a 7-bit field: one column chain of 70 elements...
-    levels = list(_ideal_levels([[[] for _ in range(70)]]))
+    levels = list(_ideal_levels([([0] * 70, [0] * 70)]))
     assert [len(level) for level in levels] == [1] * 71
     assert levels[-1] == {70: 1}
     # ...and a zigzag chain whose two columns hold 70 and 69 elements; it
@@ -291,15 +291,15 @@ def test_walker_levels_are_the_oracle_ideals_on_random_words(n, choices):
     assert walker_levels_are_the_oracle_ideals(poset_of_word(w), _word_needs(w.letters, n))
 
 
-def test_walker_needs_name_neighbour_columns():
-    # a successor's frontier retests only the columns beside the one that
-    # grew, which holds only when every need names a neighbour column
-    for needs, far in (
-        ([[[(2, 1)]], [], [[]]], 2),
-        ([[], [[(1, 1)]]], 1),
-        ([[[(-1, 1)]]], -1),
+def test_walker_rejects_malformed_need_tables():
+    # each column has one row of needs per neighbour, as long as the
+    # column; the first column has no left neighbour, the last no right one
+    for needs, column, reason in (
+        ([([0], [0]), ([0, 1], [0]), ([0], [0])], 1, "differ in length"),
+        ([([1], [0]), ([0], [0])], 0, "left of it"),
+        ([([0], [0]), ([0], [0]), ([1], [1])], 2, "right of it"),
     ):
-        with pytest.raises(DomainError, match=rf"names column {far}, not a neighbour$"):
+        with pytest.raises(DomainError, match=rf"column {column} .*{reason}$"):
             next(_ideal_levels(needs))
 
 
@@ -493,6 +493,45 @@ def test_word_needs_walk_the_poset_ideals(n, choices):
     from_word = list(_ideal_levels(_word_needs(w.letters, n)))
     from_poset = list(_ideal_levels(_poset_needs(poset_of_word(w))))
     assert from_word == from_poset
+
+
+def test_word_needs_are_the_poset_needs(words_of_rank, classes_of_rank):
+    # the word's counts of c-1 and c+1 before each occurrence of c are the
+    # elements of each neighbour column below it, read off the order
+    for n in range(1, 5):
+        for w in words_of_rank(n):
+            assert _word_needs(w.letters, n) == _poset_needs(poset_of_word(w))
+    for P in classes_of_rank(5):
+        assert _word_needs(P._reading[0].letters, 5) == _poset_needs(P)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=5, max_value=7),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+)
+def test_word_needs_are_the_poset_needs_on_random_words(n, choices):
+    w = random_braid_walk(standard_word(n), choices)
+    assert _word_needs(w.letters, n) == _poset_needs(poset_of_word(w))
+
+
+# sha256 over every level's items, in order, of the walks on the word tables
+# of every GC poset of ranks 1-8 and then every class of ranks 1-5, recorded
+# from the walker when its table listed (column, count) pairs per element
+WALKER_LEVELS_SHA256 = "caeac9563021cc01b82f38605111c610782b366ae80c92331d7eed17198c7d22"
+
+
+def test_walker_levels_are_pinned(classes_of_rank):
+    # the levels, their keys and the keys' order do not depend on the
+    # table's layout
+    digest = hashlib.sha256()
+    posets = [gc_poset_of_delta("".join(kinds)) for n in range(1, 9)
+              for kinds in product("AD", repeat=n - 1)]
+    posets += [P for n in range(1, 6) for P in classes_of_rank(n)]
+    for P in posets:
+        for level in _ideal_levels(_word_needs(P._reading[0].letters, P.rank)):
+            digest.update(repr(list(level.items())).encode())
+    assert digest.hexdigest() == WALKER_LEVELS_SHA256
 
 
 @settings(deadline=None, max_examples=60)
