@@ -7,19 +7,20 @@ the command line.  The verdict payload is deterministic; elapsed_ms is the
 only field that varies between runs.
 
 The slow independent routes live here, off the production modules: the
-strict order `less` by down-set masks and the ideal test `is_ideal`, the
-count of reduced words by descents, the stream of all linear extensions
-(and with it the words of a class and the GC words), the ideals by a
-breadth-first search over bitmasks, apart from the production walker, the
-word poset from its definition and from the wires of a word's diagram, the
-shifted-diagram poset behind the tableau-count oracle, the word of one GC
-class by its splices, rank by rank, and its count by the recurrence's
-product over the runs of its delta, the
-column-chain search, the indices by their column-count definition, the
-suffix-tree profile built from them, the pair test of one stage's wires
-that checks the stage table and the tables the class tree extends, and the
-3-move class search.  Of the package's modules only the CLI imports this
-one, and only when its verify command runs.
+strict order `less` by down-set masks, closed over the covers alone, and
+the ideal test `is_ideal`, the count of reduced words by descents and in
+closed form by the hook-length formula, the lexmin word by a heap walk
+over the covers, the stream of all linear extensions (and with it the
+words of a class and the GC words), the ideals by a breadth-first search
+over bitmasks, apart from the production walker, the word poset from its
+definition and from the wires of a word's diagram, the shifted-diagram
+poset behind the tableau-count oracle, the word of one GC class by its
+splices, rank by rank, and its count by the recurrence's product over the
+runs of its delta, the column-chain search, the indices by their
+column-count definition, the suffix-tree profile built from them, the pair
+test of one stage's wires that checks the stage table and the tables the
+class tree extends, and the 3-move class search.  Of the package's modules
+only the CLI imports this one, and only when its verify command runs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
+from math import factorial, prod
 from typing import Callable, Iterator
 
 from .gc import (
@@ -165,6 +167,21 @@ def count_reduced_words(p: Perm) -> int:
     return _count_reduced_words(p)
 
 
+def staircase_word_count(n: int) -> int:
+    """The number of reduced words of the longest element at rank n, in
+    closed form: they biject with the standard tableaux of the staircase
+    shape (n, n-1, ..., 1) (Stanley), which the hook-length formula counts
+    as N!/prod (2k-1)^(n-k+1) over k = 1..n, with N = n(n+1)/2.  Shares
+    nothing with the ideal walker or the count by descents.
+
+    >>> staircase_word_count(3), staircase_word_count(5)
+    (16, 292864)
+    """
+    if n < 0:
+        raise DomainError(f"rank must be nonnegative, got {n}")
+    return factorial(n * (n + 1) // 2) // prod((2 * k - 1) ** (n - k + 1) for k in range(1, n + 1))
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
     k = 1
@@ -190,13 +207,18 @@ def _covers_from_below(below: list[int]) -> list[tuple[int, int]]:
 
 def _down_masks(P: WordPoset) -> tuple[int, ...]:
     """down[k-1] has bit j-1 set iff j < k in the poset: the order oracle,
-    one int per element.  Raises if the covers hold a cycle."""
+    one int per element, closed over the covers alone until no mask grows.
+    Raises if the covers hold a cycle, which puts an element below itself."""
     down = [0] * P.size
-    for k in P._lexmin:
-        mask = 0
-        for j in P._lower_covers[k - 1]:
-            mask |= down[j - 1] | (1 << (j - 1))
-        down[k - 1] = mask
+    grown = True
+    while grown:
+        grown = False
+        for x, y in P.covers:
+            mask = down[y - 1] | down[x - 1] | 1 << (x - 1)
+            if mask != down[y - 1]:
+                down[y - 1], grown = mask, True
+    if any(mask >> k & 1 for k, mask in enumerate(down)):
+        raise DomainError("covering relation contains a cycle")
     return tuple(down)
 
 
@@ -239,6 +261,14 @@ def words_of_class(P: WordPoset) -> Iterator[Word]:
         yield word_of_extension(P, extension)
 
 
+def lexmin_word_by_covers(P: WordPoset) -> Word:
+    """The lexmin oracle: the heap walk over the covers (`_extension`) that
+    always places the least column among the elements whose lower covers
+    are placed, apart from `lexmin_word`'s greedy walk over the table of
+    the poset's word."""
+    return word_of_extension(P, _extension(P, key=lambda k: (P.columns[k - 1], k)))
+
+
 def enumerate_gc_words(n: int, budget: int | None = None) -> Iterator[Word]:
     """All GC-type reduced words, emitted class by class through the linear
     extensions of the 2^(n-1) canonical posets (never by filtering).
@@ -257,13 +287,13 @@ def enumerate_gc_words(n: int, budget: int | None = None) -> Iterator[Word]:
         yield from words_of_class(gc_poset_of_delta("".join(letters)))
 
 
-def _lexmin_chains(P: WordPoset) -> list[list[int]]:
-    """The column chains, bottom to top, grouped along the lexmin extension
-    (any linear extension meets a chain bottom to top), not along the word
-    the production routes read; raises unless each column is a chain."""
+def _order_chains(P: WordPoset) -> list[list[int]]:
+    """The column chains, bottom to top, read off the order alone: each
+    column's elements by the size of their down-sets, not along a word;
+    raises unless each column is a chain."""
     down = _down_masks(P)
     groups: dict[int, list[int]] = {}
-    for k in P._lexmin:
+    for k in sorted(range(1, P.size + 1), key=lambda k: down[k - 1].bit_count()):
         groups.setdefault(P.columns[k - 1], []).append(k)
     for col, chain in groups.items():
         for a, b in zip(chain, chain[1:]):
@@ -278,7 +308,7 @@ def _poset_needs(P: WordPoset) -> list[tuple[list[int], list[int]]]:
     chains left and right of its own lie below it.  Each column being a
     chain, that is the greatest height there among the elements below it.
     Serves posets that are no word's poset too."""
-    chains = _lexmin_chains(P)
+    chains = _order_chains(P)
     down = _down_masks(P)
 
     def row(chain, ci):
@@ -295,7 +325,7 @@ def ideals(P: WordPoset) -> Iterator[frozenset]:
     from the production walker: a breadth-first search over bitmask ideals
     that adds an element once its down-set is placed.  Raises unless each
     column is a chain, as then the counts name each ideal once."""
-    chains = _lexmin_chains(P)
+    chains = _order_chains(P)
     down = _down_masks(P)
     level = {0}
     while level:
@@ -447,10 +477,15 @@ def braid_triples(P: WordPoset, down: tuple[int, ...]) -> list[tuple[int, int, i
     open interval (x, z) = {y}: exactly the sites where some word of the
     class admits a 3-move with these three positions adjacent.  `down` is
     _down_masks(P)."""
+    lower: list[list[int]] = [[] for _ in range(P.size)]
+    upper: list[list[int]] = [[] for _ in range(P.size)]
+    for x, y in P.covers:
+        lower[y - 1].append(x)
+        upper[x - 1].append(y)
     triples = []
     for y in range(1, P.size + 1):
-        for x in P._lower_covers[y - 1]:
-            for z in P._upper_covers[y - 1]:
+        for x in lower[y - 1]:
+            for z in upper[y - 1]:
                 if P.columns[z - 1] != P.columns[x - 1]:
                     continue
                 # y is the only element strictly between x and z when no
@@ -509,7 +544,10 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
     of the 2-move components and that of the 3-move search.  The stage table
     each class inherits down the class tree equals, on every stage (lo, hi),
     the pair test on the crossings of the class's lexmin word, another word
-    than the one it was spliced from."""
+    than the one it was spliced from.  That lexmin word, read off the
+    class word and off the greatest word of the class, is the one the
+    covers walk reads, and the classes' extension counts sum to the number
+    of words, `staircase_word_count`."""
 
     def body():
         words = _all_words(n)
@@ -532,11 +570,21 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
             return False, {"classes": classes, "expected": expected}
         enumerated: set[WordPoset] = set()
         width = n + 2
+        extensions = 0
         for P in enumerate_commutation_classes(n):
             w = lexmin_word(P)
             if P in enumerated:
                 return False, {"word": str(w), "reason": "class enumerated twice"}
             enumerated.add(P)
+            # a class word is its lexmin word at every rank checked so far,
+            # so the walk reads the greatest word of the class too
+            by_covers = lexmin_word_by_covers(P)
+            greatest = word_of_extension(P, _extension(P, key=lambda k: (-P.columns[k - 1], k)))
+            for read in (w, lexmin_word(poset_of_word(greatest))):
+                if read != by_covers:
+                    return False, {"word": str(read), "by_covers": str(by_covers),
+                                   "reason": "lexmin word differs from the covers walk"}
+            extensions += count_linear_extensions(P)
             table = vars(P).get("_stage_table")
             if table is None:
                 return False, {"word": str(w), "reason": "class has no stage table from the tree"}
@@ -550,6 +598,9 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
         counted = count_commutation_classes(n)
         if counted != len(enumerated):
             return False, {"classes": len(enumerated), "counted": counted}
+        if extensions != staircase_word_count(n):
+            return False, {"extensions": str(extensions), "words": str(staircase_word_count(n)),
+                           "reason": "class extension counts do not sum to the staircase count"}
         for route, found in (
             ("2-move components", set(key_to_comp)),
             ("3-move search", _classes_by_3moves(n)),

@@ -15,25 +15,24 @@ extensions and enumerating and counting commutation classes by word
 splices.  It reads a word's table (`_word_needs`), one pass over the
 letters: per column c, two rows counting the occurrences of c-1 and of
 c+1 before each occurrence of c, the only columns an element needs.  The
-splices form a class tree: each class of rank n is spliced from one class
-of rank n-1, and inherits its stage table, extended by the stages of the
-new wire.  One extension walker, `_extension`, reads a single linear
-extension under a key.
+lexmin word is one greedy walk over the same table.  The splices form a
+class tree: each class of rank n is spliced from one class of rank n-1,
+and inherits its stage table, extended by the stages of the new wire.
 
 Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
 of a class word, both through `_recorded_poset`) keeps that word with the
 element at each of its positions, and skips the checks of the public
 constructor, which cannot fail on it.  Any other poset, a copy of one of
-those included, reads its lexmin word, once the poset is checked to be
-that word's poset.  The column chains, the canonical form, the extension
-count and the Hasse diagram read it.  The chain, ideal and contraction
-routes read the crossing table cached beside it, and the index, profile
-and classification routes the one stage table cached beside that: their
-answers are the same on every word of the class.  A class poset of
-`enumerate_commutation_classes` comes with the stage table its class tree
-extended, so it builds a crossing table only when a chain, ideal or
-contraction route reads one.
+those included, walks its covers once (`_extension`) for its lexmin word,
+and is checked to be that word's poset.  The column chains, the canonical
+form, the extension count and the lexmin word read the word.  The chain,
+ideal and contraction routes read the crossing table cached beside it,
+and the index, profile and classification routes the one stage table
+cached beside that: their answers are the same on every word of the
+class.  A class poset of `enumerate_commutation_classes` comes with the
+stage table its class tree extended, so it builds a crossing table only
+when a chain, ideal or contraction route reads one.
 
 The strict order and its down-set masks, the ideal test, the stream of all
 linear extensions and the ideals by a breadth-first search over bitmasks
@@ -91,35 +90,16 @@ class WordPoset:
         return max(self.columns, default=0)
 
     @cached_property
-    def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        ups: list[list[int]] = [[] for _ in range(self.size)]
-        for x, y in self.covers:
-            ups[x - 1].append(y)
-        return tuple(tuple(sorted(u)) for u in ups)
-
-    @cached_property
-    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        downs: list[list[int]] = [[] for _ in range(self.size)]
-        for x, y in self.covers:
-            downs[y - 1].append(x)
-        return tuple(tuple(sorted(d)) for d in downs)
-
-    @cached_property
-    def _lexmin(self) -> tuple[int, ...]:
-        # the one cached order: the linear extension with the least column word
-        return _extension(self, key=lambda k: (self.columns[k - 1], k))
-
-    @cached_property
     def _reading(self) -> tuple[Word, Sequence[int]]:
         """A word of this poset's class and the element at each of its
         positions: element labels[r-1] sits at row r.  _recorded_poset,
         which builds every poset from a word, sets it to that word, a word
         of the poset by construction.  Any other poset, a copy included,
-        reads its lexmin word, checked once to have this poset as its
-        poset: the covers, relabeled by position in the lexmin
-        extension, must be the covers of poset_of_word.  A failed check
-        raises and is not cached."""
-        extension = lexmin_extension(self)
+        walks its covers once, least column first, for its lexmin word,
+        checked to have this poset as its poset: the covers, relabeled by
+        position in that extension, must be the covers of poset_of_word.
+        A failed check raises and is not cached."""
+        extension = _extension(self, key=lambda k: (self.columns[k - 1], k))
         w = word_of_extension(self, extension)
         row = {k: r for r, k in enumerate(extension, start=1)}
         if tuple(sorted((row[x], row[y]) for x, y in self.covers)) != poset_of_word(w).covers:
@@ -268,14 +248,18 @@ def _extension(P: WordPoset, key) -> tuple[int, ...]:
     """The linear extension that repeatedly takes the key-least element
     whose lower covers are all placed: for a key that separates elements,
     the least extension under key, compared element by element."""
-    waiting = [len(d) for d in P._lower_covers]
+    waiting = [0] * P.size
+    ups: list[list[int]] = [[] for _ in range(P.size)]
+    for x, y in P.covers:
+        waiting[y - 1] += 1
+        ups[x - 1].append(y)
     ready = [(key(k), k) for k in range(1, P.size + 1) if not waiting[k - 1]]
     heapify(ready)
     order = []
     while ready:
         k = heappop(ready)[1]
         order.append(k)
-        for up in P._upper_covers[k - 1]:
+        for up in ups[k - 1]:
             waiting[up - 1] -= 1
             if not waiting[up - 1]:
                 heappush(ready, (key(up), up))
@@ -284,18 +268,28 @@ def _extension(P: WordPoset, key) -> tuple[int, ...]:
     return tuple(order)
 
 
-def lexmin_extension(P: WordPoset) -> tuple[int, ...]:
-    """The linear extension whose column word is lexicographically least."""
-    return P._lexmin
-
-
 def lexmin_word(P: WordPoset) -> Word:
-    """Least word of the commutation class, in the letter order.
+    """Least word of the commutation class, in the letter order: the greedy
+    walk over the poset's word's table that always adds to the least column
+    c whose next element, at height h, columns c-1 and c+1 allow.
 
     >>> str(lexmin_word(poset_of_word(standard_word(3))))
     '1,2,1,3,2,1'
     """
-    return word_of_extension(P, lexmin_extension(P))
+    w = P._reading[0]
+    needs = _word_needs(w.letters, w.rank)
+    held = [0] * (w.rank + 2)
+    letters, c = [], 1
+    for _ in w.letters:
+        # adding to c changed what c-1..c+1 read only: no column below c-1 opened
+        for c in range(max(c - 1, 1), w.rank + 1):
+            left, right = needs[c - 1]
+            h = held[c]
+            if h < len(left) and held[c - 1] >= left[h] and held[c + 1] >= right[h]:
+                break
+        held[c] += 1
+        letters.append(c)
+    return Word._unchecked(w.rank, tuple(letters), None)
 
 
 def word_of_extension(P: WordPoset, extension: Sequence[int]) -> Word:
@@ -378,10 +372,10 @@ def render_dot(P: WordPoset) -> str:
     """Hasse diagram in DOT.  Node k is pinned at x = column; y grows with
     the longest chain below, so `neato -n` reproduces the usual picture.
     Output is byte-stable for equal posets."""
-    height = [0] * P.size
-    for k in P._reading[1]:
-        below = P._lower_covers[k - 1]
-        height[k - 1] = 1 + max((height[j - 1] for j in below), default=0)
+    row = {k: r for r, k in enumerate(P._reading[1])}
+    height = [1] * P.size
+    for x, y in sorted(P.covers, key=lambda cover: row[cover[1]]):
+        height[y - 1] = max(height[y - 1], height[x - 1] + 1)
     lines = ["digraph wordposet {", "  rankdir=BT;", "  node [shape=circle];"]
     for k in range(1, P.size + 1):
         lines.append(

@@ -314,8 +314,8 @@ def _plain_isomorphic(P, Q) -> bool:
         return (
             sum(less(R, j, k) for j in elements),
             sum(less(R, k, j) for j in elements),
-            len(R._lower_covers[k - 1]),
-            len(R._upper_covers[k - 1]),
+            sum(y == k for _, y in R.covers),
+            sum(x == k for x, _ in R.covers),
         )
 
     p_sigs = {k: signature(P, k) for k in range(1, P.size + 1)}

@@ -349,6 +349,18 @@ def test_extended_stage_table_is_the_table_of_the_splice(n, seed, cut):
     assert wiring._extended_stage_table(table, v[:k], n) == wiring._stage_table(wiring._crossings(spliced))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_delta_positions_are_the_stages_of_three_or_more_wires(n):
+    # both entries of every stage of three or more wires are an entry of
+    # some delta's vector and no other entry is: the half of "a profile
+    # determines its stage table" that a check of injectivity down the
+    # class tree relies on
+    positions = {p for letters in product("AD", repeat=n - 1)
+                 for p in indices._delta_positions(n, "".join(letters))}
+    assert positions == {wiring._at(n + 2, lo, hi) + entry
+                         for lo in range(1, n) for hi in range(lo + 2, n + 2) for entry in (0, 1)}
+
+
 def test_profile_plan_is_built_once_per_rank():
     indices._profile_plan.cache_clear()
     profiles = [[full_profile(poset_of_word(random_w0_word(n, random.Random(seed))))
@@ -492,7 +504,7 @@ def test_word_walks_read_any_word_of_the_class(n, seed):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of the lexmin extension, of poset_of_word, of the
+    """Counts calls of the extension walker, of poset_of_word, of the
     crossing table, of the stage table, of its extension by the class tree
     and of the contraction, under every name the package reaches them by."""
     counter = Counter()
@@ -505,7 +517,7 @@ def calls(monkeypatch):
         return wrapper
 
     for name, real in (
-        ("lexmin_extension", word_poset.lexmin_extension),
+        ("_extension", word_poset._extension),
         ("poset_of_word", word_poset.poset_of_word),
         ("_crossings", wiring._crossings),
         ("_stage_table", wiring._stage_table),
@@ -519,12 +531,13 @@ def calls(monkeypatch):
     return counter
 
 
-# a poset built from a word reads that word: no lexmin word, no second
-# poset, one crossing table and one stage table, no contracted word
-WORD_TRACE = Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _stage_table=1,
+# a poset built from a word reads that word: no walk of its covers, no
+# second poset, one crossing table and one stage table, no contracted word
+WORD_TRACE = Counter(_extension=0, poset_of_word=0, _crossings=1, _stage_table=1,
                      _contract=0)
-# a copy reads its lexmin word, checked against a second poset
-ONE_TRACE = Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
+# a copy walks its covers once for its lexmin word, checked against a
+# second poset
+ONE_TRACE = Counter(_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
                     _contract=0)
 
 
@@ -561,7 +574,7 @@ def test_public_calls_share_one_entry_check(calls):
         ind_A(Q)
         ind_D(Q)
         ascending_chain(Q)
-        assert calls["lexmin_extension"] == calls["poset_of_word"] == checks
+        assert calls["_extension"] == calls["poset_of_word"] == checks
         assert calls["_crossings"] == calls["_stage_table"] == tables
 
 
@@ -571,7 +584,7 @@ def test_contractions_skip_the_check_on_word_posets(calls, contract):
     # the recorded word proves P a word poset: the contraction applies the
     # letter rule to that word, with no lexmin word and no second poset
     contract(poset_of_word(standard_word(5)))
-    assert calls == Counter(lexmin_extension=0, poset_of_word=0, _crossings=1, _stage_table=0,
+    assert calls == Counter(_extension=0, poset_of_word=0, _crossings=1, _stage_table=0,
                             _contract=1)
 
 
@@ -583,7 +596,7 @@ def test_contractions_of_a_copy_read_its_one_crossing_table(calls):
     contract_A(P)
     contract_D(P)
     full_profile(P)
-    assert calls == Counter(lexmin_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
+    assert calls == Counter(_extension=1, poset_of_word=1, _crossings=1, _stage_table=1,
                             _contract=2)
 
 
@@ -665,13 +678,14 @@ def test_contractions_apply_the_letter_rule_on_any_word_of_the_class(kind, n, se
             assert Q.columns[new - 1] == R.columns[k - 1] - ((k in ideal) == (kind == "A"))
 
 
-# the caches that walk the covers: the lexmin extension and its cover lists
-COVER_WALKS = {"_lexmin", "_lower_covers", "_upper_covers"}
-
-
-def test_recorded_posets_answer_without_walking_their_covers():
+def test_recorded_posets_answer_without_walking_their_covers(monkeypatch):
     # a poset built from a word answers every route below off that word, so
-    # none of them builds its lexmin word or its cover lists
+    # none of them walks its covers for a linear extension
+    def refused(*args, **kwargs):
+        raise AssertionError("walked the covers of a poset built from a word")
+
+    monkeypatch.setattr(word_poset, "_extension", refused)
+    monkeypatch.setattr(indices, "_extension", refused)
     rng = random.Random(11)
     recorded = [poset_of_word(random_w0_word(n, rng)) for n in range(1, 7)]
     recorded += enumerate_commutation_classes(4)
@@ -685,9 +699,9 @@ def test_recorded_posets_answer_without_walking_their_covers():
         for route in (ind_A, ind_D, ascending_chain, descending_chain,
                       contraction_ideal_A, contraction_ideal_D, contract_A, contract_D,
                       contract_A_with_map, contract_D_with_map,
-                      word_poset.count_linear_extensions, canonical_form):
+                      word_poset.count_linear_extensions, canonical_form,
+                      lexmin_word, word_poset.render_dot):
             route(P)
-        assert not COVER_WALKS & set(vars(P)), P
 
 
 def route_answers(P):

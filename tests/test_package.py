@@ -152,6 +152,28 @@ CALLERS = [PACKAGE / f"{stem}.py" for stem in PRODUCTION + ("cli", "verify")]
 CALLERS.append(PACKAGE.parent.parent / "bench" / "workloads.py")
 
 
+def test_only_the_extension_walker_and_render_dot_walk_the_covers():
+    # every production route reads a word: past the public constructor's
+    # checks and the entry check of a poset built from covers, only the
+    # extension walker and the Hasse diagram read the covers, and the CLI
+    # prints them
+    sites = {
+        (path.stem, where)
+        for path in MODULES
+        if path.stem in PRODUCTION + ("cli",)
+        for where, node in _references_by_function(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "covers"
+    }
+    assert sites == {
+        ("word_poset", "__post_init__"),
+        ("word_poset", "_reading"),
+        ("word_poset", "_extension"),
+        ("word_poset", "render_dot"),
+        ("cli", "_poset_plain"),
+        ("cli", "_poset_json"),
+    }
+
+
 def _public_definitions(tree):
     """(qualified name, node) per public top-level function or class and
     per public method of such a class."""

@@ -18,10 +18,12 @@ from gcwords.verify import (
     check_table1,
     check_tits_connectivity,
     count_gc_words_brute,
+    count_reduced_words,
     gc_count_by_runs,
     gc_word_by_splices,
     projection_key,
     run_checks,
+    staircase_word_count,
 )
 from gcwords.gc import gc_poset_of_delta, gc_recurrence
 from gcwords.indices import ind_A
@@ -78,6 +80,44 @@ def test_class_poset_equivalence_needs_the_tree_tables(monkeypatch):
     report = check_class_poset_equivalence(3)
     assert not report.passed
     assert report.counterexample["reason"] == "class has no stage table from the tree"
+
+
+def test_class_poset_equivalence_names_both_lexmin_words(monkeypatch):
+    # a lexmin route that returns the greatest word of the class
+    from gcwords import verify
+
+    monkeypatch.setattr(verify, "lexmin_word",
+                        lambda P: max(verify.words_of_class(P), key=lambda w: w.letters))
+    report = check_class_poset_equivalence(3)
+    assert not report.passed
+    counterexample = report.counterexample
+    assert counterexample["reason"] == "lexmin word differs from the covers walk"
+    word, by_covers = (parse_word(counterexample[key]) for key in ("word", "by_covers"))
+    assert by_covers.letters < word.letters
+    assert canonical_form(poset_of_word(word)) == canonical_form(poset_of_word(by_covers))
+
+
+def test_class_poset_equivalence_sums_the_extension_counts(monkeypatch):
+    from gcwords import verify
+
+    monkeypatch.setattr(verify, "count_linear_extensions", lambda P: count_linear_extensions(P) + 1)
+    report = check_class_poset_equivalence(3)
+    assert not report.passed
+    assert report.counterexample == {
+        "extensions": str(16 + 8), "words": "16",
+        "reason": "class extension counts do not sum to the staircase count",
+    }
+
+
+def test_staircase_word_count():
+    # the hook-length formula against the count by descents, and the
+    # published counts at ranks 5 and 6
+    for n in range(7):
+        assert staircase_word_count(n) == count_reduced_words(longest_element(n + 1))
+    assert staircase_word_count(5) == 292_864
+    assert staircase_word_count(6) == 1_100_742_656
+    with pytest.raises(DomainError):
+        staircase_word_count(-1)
 
 
 def test_injectivity_small():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import deque
 from itertools import combinations, permutations, product
 from math import prod
@@ -19,6 +20,7 @@ from gcwords.verify import (
     ideals,
     is_ideal,
     less,
+    lexmin_word_by_covers,
     linear_extensions,
     projection_key,
     words_of_class,
@@ -37,6 +39,7 @@ from gcwords.word_poset import (
     lexmin_word,
     poset_of_word,
     render_dot,
+    word_of_extension,
 )
 from gcwords.words import (
     DomainError,
@@ -49,6 +52,7 @@ from gcwords.words import (
     standard_word,
 )
 
+from test_indices import random_extension, random_w0_word
 from test_words import random_braid_walk
 
 STANDARD3 = parse_word("1,2,1,3,2,1")
@@ -194,6 +198,14 @@ def test_cycle_rejected():
     P = WordPoset((1, 2, 1), ((1, 2), (2, 3), (3, 2)))
     with pytest.raises(DomainError, match="cycle"):
         lexmin_word(P)
+
+
+def test_order_oracle_rejects_a_cycle():
+    # the down-sets are closed over the covers alone, so a cycle puts an
+    # element below itself
+    P = WordPoset((1, 2, 1), ((1, 2), (2, 3), (3, 2)))
+    with pytest.raises(DomainError, match="cycle"):
+        _down_masks(P)
 
 
 def test_canonical_form_identifies_classes():
@@ -348,13 +360,35 @@ def test_words_of_class_is_two_move_closure(words_of_rank):
             assert set(words_of_class(P)) == closure
 
 
-def test_lexmin_word():
+def test_lexmin_word(classes_of_rank):
     assert str(lexmin_word(poset_of_word(parse_word("2,1,2")))) == "2,1,2"
     assert str(lexmin_word(poset_of_word(STANDARD3))) == "1,2,1,3,2,1"
     # least under 2-moves, for every class at small rank
     for n in (2, 3):
         for P in enumerate_commutation_classes(n):
             assert lexmin_word(P) == min(words_of_class(P), key=lambda w: w.letters)
+    # the greedy walk against the heap walk over the covers, for every class
+    # of ranks 1-5, read off the class word (its lexmin word already) and
+    # off the greatest word of the class
+    for n in range(1, 6):
+        for P in classes_of_rank(n):
+            greatest = word_of_extension(P, _extension(P, lambda k: (-P.columns[k - 1], k)))
+            assert lexmin_word(P) == lexmin_word(poset_of_word(greatest)) == lexmin_word_by_covers(P)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=2**32))
+def test_lexmin_word_is_one_word_per_class(n, seed):
+    # the posets of a random word, its canonical poset, a cold copy and the
+    # canonical poset of a second word of the class each read their lexmin
+    # word off a different word or walk: all of them are the oracle's
+    rng = random.Random(seed)
+    P = poset_of_word(random_w0_word(n, rng))
+    second = word_of_extension(P, random_extension(P, rng))
+    expected = lexmin_word_by_covers(P)
+    for Q in (P, canonical_form(P), WordPoset(P.columns, P.covers),
+              _canonical_poset_of_word(second.letters)):
+        assert lexmin_word(Q) == expected
 
 
 def test_ideals_unique_per_counts(classes_of_rank):
