@@ -164,7 +164,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gc_poset(args) -> int:
-    return _emit_poset(gc.gc_poset_of_delta(args.delta), args)
+    P = gc.gc_poset_of_delta(args.delta)
+    if args.count:
+        _emit(f"{word_poset.count_linear_extensions(P)}\n", args)
+        return 0
+    return _emit_poset(P, args)
 
 
 def _cmd_gc_table(args) -> int:
@@ -253,7 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gc-poset", help="canonical GC word poset of a delta sequence")
     p.add_argument("delta")
-    p.add_argument("--dot", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--dot", action="store_true")
+    group.add_argument(
+        "--count", action="store_true",
+        help="print the number of linear extensions (the words of the class) instead",
+    )
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gc_poset)

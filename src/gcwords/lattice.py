@@ -1,23 +1,32 @@
 """The ideal lattice of a poset whose columns are chains, walked one level
 per ideal size: the one walker behind counting linear extensions and the
-class tree of `word_poset`.
+class tree of `word_poset`, and the count of linear extensions itself, by
+ordinal summands.
 
 An order ideal meets each column chain in a prefix, so its per-column
 counts determine it, and one int packs them, one field per column
 (`_ideal_fields`).  The walker reads a table of needs, not a poset: two
 rows of counts per column, left and right, where the element at height h+1
 of column c is addable once columns c-1 and c+1 hold left[h] and right[h]
-elements.  Covers join adjacent columns, so the two rows name every need
-an element has; the first column has no left neighbour and the last no
-right one, and the walker checks that their rows there are zero.  Each
-ideal carries its frontier, the bit set of its addable columns; adding an
-element to column c changes only what columns c-1, c and c+1 read, so a
-successor's frontier is its parent's with those three bits retested and
-the rest copied.
+elements.  A word's table (`_word_needs`) is one pass over its letters.
+Covers join adjacent columns, so the two rows name every need an element
+has; the first column has no left neighbour and the last no right one, and
+the walker checks that their rows there are zero.  Each ideal carries its
+frontier, the bit set of its addable columns; adding an element to column
+c changes only what columns c-1, c and c+1 read, so a successor's frontier
+is its parent's with those three bits retested and the rest copied.
+
+Where a level of the lattice holds one ideal, the poset is the ordinal sum
+of that ideal and the rest, and its linear extensions are the products of
+theirs (Stanley, Enumerative Combinatorics I, 3.5).  So the count cuts a
+word's poset at every such level (`_ordinal_cuts`, one pass over the
+letters) and walks each summand of two or more elements once: a GC poset
+splits at every run of its delta, and many GC posets share a summand.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .words import DomainError
@@ -132,3 +141,74 @@ def _ideal_levels(
                 else:
                     nxt[succ] = seen + ways
         level = nxt
+
+
+def _word_needs(letters: Sequence[int], rank: int) -> list[tuple[list[int], list[int]]]:
+    # The walker's table of a reduced word with letters in 1..rank, a column
+    # the word does not use left empty: per column c, the rows (left, right)
+    # count the occurrences of c-1 and c+1 before each occurrence of c.
+    needs = [([], []) for _ in range(rank)]
+    seen = [0] * (rank + 2)
+    for c in letters:
+        left, right = needs[c - 1]
+        left.append(seen[c - 1])
+        right.append(seen[c + 1])
+        seen[c] += 1
+    return needs
+
+
+def _ordinal_cuts(letters: Sequence[int]) -> list[int]:
+    # The sizes 0 < k < l of the levels holding one ideal in the lattice of
+    # the word poset of a reduced word of length l, ascending: there the
+    # poset is the ordinal sum of its first k positions and the rest.  The
+    # word is a linear extension, so its prefixes are ideals, and the
+    # prefix of size k is the only ideal of its size exactly when every
+    # later position lies above all of it.  A position's down-set mask is
+    # its own bit or the masks of the latest c-1, c and c+1 before it; the
+    # run of low ones of a mask counts the prefix below it, so a cut lies
+    # before k when that run is at least k at k and at every later position.
+    below = [0] * (max(letters, default=0) + 2)
+    runs = []
+    for k, c in enumerate(letters):
+        mask = 1 << k | below[c - 1] | below[c] | below[c + 1]
+        below[c] = mask
+        runs.append((~mask & mask + 1).bit_length() - 1)
+    cuts, least = [], len(letters)
+    for k in range(len(letters) - 1, 0, -1):
+        if runs[k] < least:
+            least = runs[k]
+        if least >= k:
+            cuts.append(k)
+    cuts.reverse()
+    return cuts
+
+
+# The number of distinct summands the count remembers.  gc(0..9) meets 56
+# and gc(0..12) 110, so every GC summand of the tables stays; other posets
+# evict the least recently counted.
+_SUMMANDS = 256
+
+
+@lru_cache(maxsize=_SUMMANDS)
+def _summand_count(letters: tuple[int, ...]) -> int:
+    # the linear extensions of the word poset of one ordinal summand, its
+    # letters shifted to start at column 1: the ways to the full ideal
+    for level in _ideal_levels(_word_needs(letters, max(letters))):
+        pass  # the last level holds the full ideal alone
+    (total,) = level.values()
+    return total
+
+
+def _extension_count(letters: Sequence[int]) -> int:
+    # the linear extensions of the word poset of a reduced word: the product
+    # over its ordinal summands, a one-letter summand counting 1 unwalked.
+    # A summand is an interval of the ordinal sum, so its order is the word
+    # poset of its own letters.
+    total, start = 1, 0
+    for end in (*_ordinal_cuts(letters), len(letters)):
+        if end - start > 1:
+            summand = letters[start:end]
+            low = min(summand) - 1
+            total *= _summand_count(tuple(c - low for c in summand))
+        start = end
+    return total

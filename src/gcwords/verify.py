@@ -11,8 +11,10 @@ strict order `less` by down-set masks, closed over the covers alone, and
 the ideal test `is_ideal`, the count of reduced words by descents and in
 closed form by the hook-length formula, the lexmin word by a heap walk
 over the covers, the stream of all linear extensions (and with it the
-words of a class and the GC words), the ideals by a breadth-first search
-over bitmasks, apart from the production walker, the word poset from its
+words of a class and the GC words), the count of linear extensions by one
+walk over a word's whole table, with no cut into ordinal summands, and
+its one-ideal levels, the ideals by a breadth-first search over bitmasks,
+apart from the production walker, the word poset from its
 definition and from the wires of a word's diagram, the shifted-diagram
 poset behind the tableau-count oracle, the word of one GC class by its
 splices, rank by rank, and its count by the recurrence's product over the
@@ -60,6 +62,7 @@ from .indices import (
     ind_D,
     validate_delta,
 )
+from .lattice import _ideal_levels, _word_needs
 from .wiring import _at, _crossings, chains_from_wires, wires
 from .word_poset import (
     WordPoset,
@@ -317,6 +320,28 @@ def _poset_needs(P: WordPoset) -> list[tuple[list[int], list[int]]]:
         return [sum(down[k - 1] >> (x - 1) & 1 for x in chains[ci]) for k in chain]
 
     return [(row(chain, ci - 1), row(chain, ci + 1)) for ci, chain in enumerate(chains)]
+
+
+def _unsplit_levels(P: WordPoset) -> Iterator[dict[int, int]]:
+    # the walker's levels over the whole table of the poset's word
+    return _ideal_levels(_word_needs(P._reading[0].letters, P.rank))
+
+
+def count_linear_extensions_unsplit(P: WordPoset) -> int:
+    """The count oracle: the walker over the whole table of the poset's
+    word, with no cut into ordinal summands and no cache, apart from
+    `count_linear_extensions`'s product over the summands."""
+    for level in _unsplit_levels(P):
+        pass  # the last level holds the full ideal alone
+    (total,) = level.values()
+    return total
+
+
+def one_ideal_levels(P: WordPoset) -> list[int]:
+    """The sizes 0 < k < P.size of the unsplit walk's levels that hold one
+    ideal: where P is an ordinal sum of that ideal and the rest.  The
+    oracle of the cuts the count reads off the word."""
+    return [k for k, level in enumerate(_unsplit_levels(P)) if 0 < k < P.size and len(level) == 1]
 
 
 def ideals(P: WordPoset) -> Iterator[frozenset]:
@@ -920,10 +945,14 @@ def gc_count_by_runs(delta: str) -> int:
 
 def check_recurrence_by_delta(n: int = 9) -> Report:
     """For every delta of rank 1..n, the linear extensions of the GC poset
-    of delta number `gc_count_by_runs(delta)`: the paper's recurrence holds
-    as a product law on each GC poset, not only as a sum over the rank.
-    These are the counts `gc_direct` sums.  The word each GC poset records
-    is checked first against `gc_word_by_splices(delta)`."""
+    of delta number `gc_count_by_runs(delta)`, counted both by
+    `count_linear_extensions`, the product over the poset's ordinal
+    summands, and by the unsplit walk: the paper's recurrence holds as a
+    product law on each GC poset, not only as a sum over the rank.  These
+    are the counts `gc_direct` sums.  The word each GC poset records is
+    checked first against `gc_word_by_splices(delta)`.  A counterexample
+    carries the three counts and names under "differs" each count that no
+    other count equals."""
 
     def body():
         for m in range(1, n + 1):
@@ -937,13 +966,19 @@ def check_recurrence_by_delta(n: int = 9) -> Report:
                         "recorded_word": ",".join(map(str, recorded)),
                         "spliced_word": ",".join(map(str, spliced)),
                     }
-                counted, by_runs = count_linear_extensions(P), gc_count_by_runs(delta)
-                if counted != by_runs:
+                counts = {
+                    "counted": count_linear_extensions(P),
+                    "unsplit": count_linear_extensions_unsplit(P),
+                    "by_runs": gc_count_by_runs(delta),
+                }
+                values = list(counts.values())
+                if len(set(values)) > 1:
                     return False, {
                         "delta": delta,
                         "word": str(lexmin_word(P)),
-                        "counted": str(counted),
-                        "by_runs": str(by_runs),
+                        **{name: str(count) for name, count in counts.items()},
+                        "differs": [name for name, count in counts.items()
+                                    if values.count(count) == 1],
                     }
         return True, None
 

@@ -11,11 +11,12 @@ column) is forced, and it is read off the letters of any word of the
 class: the j-th occurrence of c.  And an ideal is fixed by its per-column
 counts, which one int packs, one field per column.  One walker of the
 ideal lattice on such keys, `lattice._ideal_levels`, serves counting linear
-extensions and enumerating and counting commutation classes by word
-splices.  It reads a word's table (`_word_needs`), one pass over the
-letters: per column c, two rows counting the occurrences of c-1 and of
-c+1 before each occurrence of c, the only columns an element needs.  The
-lexmin word is one greedy walk over the same table.  The splices form a
+extensions, by ordinal summands cut off the word, and enumerating and
+counting commutation classes by word splices.  It reads a word's table
+(`lattice._word_needs`), one pass over the letters: per column c, two rows
+counting the occurrences of c-1 and of c+1 before each occurrence of c,
+the only columns an element needs.  The lexmin word is one greedy walk
+over the same table.  The splices form a
 class tree: each class of rank n is spliced from one class of rank n-1,
 and inherits its stage table, extended by the stages of the new wire.
 
@@ -46,7 +47,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
-from .lattice import _ideal_counts, _ideal_levels
+from .lattice import _extension_count, _ideal_counts, _ideal_levels, _word_needs
 from .wiring import _at, _crossings, _extended_stage_table, _stage_table
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
@@ -218,30 +219,15 @@ def is_isomorphic(P: WordPoset, Q: WordPoset) -> bool:
     return canonical_form(P) == canonical_form(Q)
 
 
-def _word_needs(letters: Sequence[int], rank: int) -> list[tuple[list[int], list[int]]]:
-    # The walker's table of a reduced word with letters in 1..rank, a column
-    # the word does not use left empty: per column c, the rows (left, right)
-    # count the occurrences of c-1 and c+1 before each occurrence of c.
-    needs = [([], []) for _ in range(rank)]
-    seen = [0] * (rank + 2)
-    for c in letters:
-        left, right = needs[c - 1]
-        left.append(seen[c - 1])
-        right.append(seen[c + 1])
-        seen[c] += 1
-    return needs
-
-
 def count_linear_extensions(P: WordPoset) -> int:
-    """Exact number of linear extensions: the ways to reach the full ideal.
+    """Exact number of linear extensions: the product over the ordinal
+    summands of the poset's word of the ways to reach each one's full ideal
+    (`lattice._extension_count`), each distinct summand walked once.
 
     >>> count_linear_extensions(poset_of_word(standard_word(3)))
     2
     """
-    for level in _ideal_levels(_word_needs(P._reading[0].letters, P.rank)):
-        pass  # the last level holds the full ideal alone
-    (total,) = level.values()
-    return total
+    return _extension_count(P._reading[0].letters)
 
 
 def _extension(P: WordPoset, key) -> tuple[int, ...]:

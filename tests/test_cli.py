@@ -201,6 +201,31 @@ def test_gc_poset(capsys):
     assert "columns 1,1,1,2,2,3" in out
 
 
+def test_gc_poset_count(capsys, tmp_path):
+    # one integer line, the words of the class; over the deltas of a rank
+    # they sum to gc(n)
+    assert run(capsys, "gc-poset", "DD", "--count")[:2] == (0, "2\n")
+    assert run(capsys, "gc-poset", "ADDD", "--count")[:2] == (0, "110\n")
+    assert run(capsys, "gc-poset", "", "--count")[:2] == (0, "1\n")
+    total = 0
+    for letters in itertools.product("AD", repeat=4):
+        code, out, _ = run(capsys, "gc-poset", "".join(letters), "--count")
+        assert code == 0 and len(out.splitlines()) == 1
+        total += int(out)
+    assert total == 916
+    target = tmp_path / "count.txt"
+    assert run(capsys, "gc-poset", "AD", "--count", "--out", str(target))[:2] == (0, "")
+    assert target.read_text() == "1\n"
+
+
+def test_gc_poset_count_rejects_a_bad_delta(capsys):
+    code, out, err = run(capsys, "gc-poset", "ADX", "--count")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "gc-poset", "AD", "--count", "--dot")
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_syt(capsys):
     assert run(capsys, "syt", "3,2,1")[:2] == (0, "2\n")
     assert run(capsys, "syt", "4,3")[:2] == (0, "5\n")
@@ -428,6 +453,10 @@ _commands = st.one_of(
             st.just([]), st.just(["--dot"]), st.tuples(st.just("--format"), _format).map(list)
         ),
         _missing_out,
+    ),
+    st.tuples(
+        st.just(["gc-poset"]), _delta.map(lambda d: [d]), st.just(["--count"]),
+        _opt(st.just("--dot")), _missing_out,
     ),
     st.tuples(
         st.just(["wiring"]), _word.map(lambda w: [w]),

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +15,11 @@ from gcwords.gc import (
     thrall_g,
 )
 from gcwords.indices import extend_A, extend_D, ind_A, ind_D
+from gcwords.lattice import _ordinal_cuts
 from gcwords.verify import (
     enumerate_gc_words,
     less,
+    one_ideal_levels,
     shifted_poset,
     strict_partitions,
     syt_count_oracle,
@@ -391,6 +393,35 @@ def test_staircase_strip_decomposition():
             assert count_linear_extensions(P) == count_linear_extensions(
                 bottom
             ) * count_linear_extensions(T)
+
+
+def test_gc_posets_split_at_their_runs():
+    # the recurrence's product law as each GC poset's shape, rank <= 9: the
+    # word cuts at the end of each run's strip, n + (n-1) + ... + (n-L+1)
+    # elements for a run of length L at rank n, top run last; inside a
+    # strip, where the dual of the shifted diagram of (n, ..., n-L+1) does
+    shapes = {}
+    for n in range(1, 10):
+        for letters in product("AD", repeat=n - 1):
+            delta = "".join(letters)
+            P = gc_poset_of_delta(delta)
+            mus, rank = [], n
+            for _, run in groupby(reversed(delta)):
+                length = len(list(run))
+                mus.append(tuple(range(rank, rank - length, -1)))
+                rank -= length
+            mus.append((1,))
+            mus.reverse()
+            cuts, start = [], 0
+            for mu in mus:
+                if mu not in shapes:
+                    size = sum(mu)
+                    shapes[mu] = sorted(size - k for k in one_ideal_levels(shifted_poset(mu)))
+                cuts += [start + k for k in shapes[mu]]
+                start += sum(mu)
+                cuts.append(start)  # the strip's end
+            assert start == P.size
+            assert _ordinal_cuts(P._reading[0].letters) == one_ideal_levels(P) == cuts[:-1]
 
 
 def test_ind_of_construction_matches_last_letter():

@@ -21,13 +21,14 @@ from gcwords.verify import (
     count_reduced_words,
     gc_count_by_runs,
     gc_word_by_splices,
+    one_ideal_levels,
     projection_key,
     run_checks,
     staircase_word_count,
 )
 from gcwords.gc import gc_poset_of_delta, gc_recurrence
 from gcwords.indices import ind_A
-from gcwords import wiring, word_poset
+from gcwords import lattice, wiring, word_poset
 from gcwords.word_poset import (
     canonical_form,
     count_linear_extensions,
@@ -157,28 +158,78 @@ def test_recurrence_by_delta():
     assert report.passed and report.params == {"n": 9}
 
 
-def test_recurrence_by_delta_names_the_delta_a_walker_miscounts(monkeypatch):
-    # count_linear_extensions reads the walker through word_poset's name
-    real = word_poset._ideal_levels
-    P = gc_poset_of_delta("DAAD")
-    miscounted = word_poset._word_needs(P._reading[0].letters, 5)
+@pytest.fixture
+def summand_cache():
+    # a test that patches the walker clears the summand counts the cache
+    # remembers, before the fault and after it
+    lattice._summand_count.cache_clear()
+    yield
+    lattice._summand_count.cache_clear()
+
+
+def _summands(P):
+    # the ordinal summands of P's word, cut at the unsplit walk's one-ideal
+    # levels, each shifted to start at column 1
+    letters = P._reading[0].letters
+    bounds = [0, *one_ideal_levels(P), P.size]
+    summands = []
+    for start, end in zip(bounds, bounds[1:]):
+        low = min(letters[start:end]) - 1
+        summands.append(tuple(c - low for c in letters[start:end]))
+    return summands
+
+
+def test_recurrence_by_delta_names_the_delta_a_walker_miscounts(monkeypatch, summand_cache):
+    # count_linear_extensions walks each summand through lattice's name
+    real = lattice._ideal_levels
+    summand = max(_summands(gc_poset_of_delta("DAAD")), key=len)
+    assert len(summand) == 4
+    miscounted = lattice._word_needs(summand, max(summand))
 
     def off_by_one(needs):
-        # one more way to the full ideal, on the table of one GC poset
+        # one more way to the full ideal, on the table of one summand
         levels = list(real(needs))
         if needs == miscounted:
             ((key, ways),) = levels[-1].items()
             levels[-1] = {key: ways + 1}
         return iter(levels)
 
-    monkeypatch.setattr(word_poset, "_ideal_levels", off_by_one)
+    monkeypatch.setattr(lattice, "_ideal_levels", off_by_one)
+    # the first delta in the check's order, rank by rank, whose poset holds it
+    first = next(
+        delta
+        for m in range(1, 6)
+        for delta in map("".join, product("AD", repeat=m - 1))
+        if summand in _summands(gc_poset_of_delta(delta))
+    )
+    assert first == "DAA"
     report = check_recurrence_by_delta(5)
     assert not report.passed
     counterexample = report.counterexample
-    assert counterexample["delta"] == "DAAD"
+    assert counterexample["delta"] == first
     assert int(counterexample["counted"]) == int(counterexample["by_runs"]) + 1
+    # the unsplit oracle walks the whole table, which the fault misses
+    assert counterexample["unsplit"] == counterexample["by_runs"]
+    assert counterexample["differs"] == ["counted"]
+    P = gc_poset_of_delta(first)
     assert counterexample["word"] == str(lexmin_word(P))
     assert canonical_form(poset_of_word(parse_word(counterexample["word"]))) == P
+
+
+def test_recurrence_by_delta_names_every_count_that_differs(monkeypatch):
+    from gcwords import verify
+
+    monkeypatch.setattr(verify, "count_linear_extensions_unsplit", lambda P: 0)
+    report = check_recurrence_by_delta(3)
+    assert not report.passed
+    assert report.counterexample["delta"] == ""
+    assert report.counterexample["differs"] == ["unsplit"]
+    monkeypatch.setattr(verify, "gc_count_by_runs", lambda delta: 2)
+    report = check_recurrence_by_delta(3)
+    assert report.counterexample == {
+        "delta": "", "word": "1", "counted": "1", "unsplit": "0", "by_runs": "2",
+        "differs": ["counted", "unsplit", "by_runs"],
+    }
 
 
 def test_gc_poset_words_are_the_splices():

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwords.gc import gc_poset_of_delta
-from gcwords.lattice import _ideal_counts, _ideal_levels
+from gcwords.lattice import (
+    _SUMMANDS,
+    _ideal_counts,
+    _ideal_levels,
+    _ordinal_cuts,
+    _summand_count,
+)
 from gcwords.verify import (
     _classes_by_3moves,
     _covers_from_below,
@@ -16,12 +22,14 @@ from gcwords.verify import (
     _poset_needs,
     _poset_of_word_by_definition,
     braid_triples,
+    count_linear_extensions_unsplit,
     count_reduced_words,
     ideals,
     is_ideal,
     less,
     lexmin_word_by_covers,
     linear_extensions,
+    one_ideal_levels,
     projection_key,
     words_of_class,
 )
@@ -246,6 +254,40 @@ def test_linear_extension_counts():
     assert count_linear_extensions(poset_of_word(OTHER3)) == 4
     chain = WordPoset((1, 2, 3, 4, 5), tuple((i, i + 1) for i in range(1, 5)))
     assert count_linear_extensions(chain) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=7),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+    start=st.integers(min_value=0, max_value=10**6),
+    stop=st.integers(min_value=0, max_value=10**6),
+)
+def test_extension_count_splits_at_the_one_ideal_levels(n, choices, start, stop):
+    # a random word of w0 and a factor of it, a reduced word whose letters
+    # need not start at 1: the cuts read off the word are the unsplit
+    # walk's one-ideal levels, and the product over the summands is its count
+    w = random_braid_walk(standard_word(n), choices)
+    start, stop = sorted((start % (len(w) + 1), stop % (len(w) + 1)))
+    for letters in (w.letters, w.letters[start:stop]):
+        P = poset_of_word(Word(n, letters))
+        assert _ordinal_cuts(letters) == one_ideal_levels(P)
+        counted = count_linear_extensions(P)
+        assert counted == count_linear_extensions_unsplit(P)
+        if n <= 4:
+            assert counted == sum(1 for _ in linear_extensions(P))
+
+
+def test_summand_cache_holds_at_most_its_fixed_size(classes_of_rank):
+    # the classes of ranks 1-5 have more distinct summands than the cache
+    # holds, so it fills and then evicts
+    _summand_count.cache_clear()
+    for n in range(1, 6):
+        for P in classes_of_rank(n):
+            count_linear_extensions(P)
+            assert _summand_count.cache_info().currsize <= _SUMMANDS
+    info = _summand_count.cache_info()
+    assert info.maxsize == _SUMMANDS == info.currsize
 
 
 def test_long_columns_widen_the_packed_key():
