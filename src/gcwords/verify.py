@@ -27,6 +27,7 @@ only the CLI imports this one, and only when its verify command runs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from collections import deque
@@ -1033,8 +1034,9 @@ ALL_CHECKS: dict[str, Callable[..., Report]] = {
 def run_checks(names: list[str] | None = None, scale: int | None = None) -> list[Report]:
     """Run the named checks (all by default), overriding each one's scale
     parameter when given.  The scale of table1 is the largest n of the
-    table; every other check takes a rank from 1 to the brute-force budget,
-    since each enumerates all words or classes of that rank."""
+    table; every other check takes a rank from 1 up to the larger of the
+    brute-force budget and the rank it runs by default, since each
+    enumerates all words, classes or GC posets of that rank."""
     selected = names or list(ALL_CHECKS)
     for name in selected:
         if name not in ALL_CHECKS:
@@ -1044,10 +1046,13 @@ def run_checks(names: list[str] | None = None, scale: int | None = None) -> list
         least = 0 if name == "table1" else 1
         if scale is not None and scale < least:
             raise DomainError(f"{name} needs a scale of at least {least}, not {scale}")
-        if scale is not None and name != "table1" and scale > default_budget():
+        if scale is None or name == "table1":
+            continue
+        default = inspect.signature(ALL_CHECKS[name]).parameters["n"].default
+        if scale > max(default_budget(), default):
             raise BudgetExceeded(
-                f"{name} at rank {scale} exceeds the budget {default_budget()}; "
-                f"set GCWORDS_BUDGET to raise it"
+                f"{name} at rank {scale} exceeds the budget {default_budget()} and "
+                f"its default rank {default}; set GCWORDS_BUDGET to raise it"
             )
     reports = []
     for name in selected:

@@ -23,17 +23,18 @@ and inherits its stage table, extended by the stages of the new wire.
 Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
 of a class word, both through `_recorded_poset`) keeps that word with the
-element at each of its positions, and skips the checks of the public
-constructor, which cannot fail on it.  Any other poset, a copy of one of
-those included, walks its covers once (`_extension`) for its lexmin word,
-and is checked to be that word's poset.  The column chains, the canonical
-form, the extension count and the lexmin word read the word.  The chain,
-ideal and contraction routes read the crossing table cached beside it,
-and the index, profile and classification routes the one stage table
-cached beside that: their answers are the same on every word of the
-class.  A class poset of `enumerate_commutation_classes` comes with the
-stage table its class tree extended, so it builds a crossing table only
-when a chain, ideal or contraction route reads one.
+element at each of its positions, builds its covers off it on first read
+and skips the checks of the public constructor, which cannot fail on it.
+Any other poset, a copy of one of those included, walks its covers once
+(`_extension`) for its lexmin word, and is checked to be that word's
+poset.  The column chains, the canonical form, the extension count and
+the lexmin word read the word.  The chain, ideal and contraction routes
+read the crossing table cached beside it, and the index, profile and
+classification routes the one stage table cached beside that: their
+answers are the same on every word of the class.  A class poset of
+`enumerate_commutation_classes` comes with the stage table its class tree
+extended, so it builds a crossing table only when a chain, ideal or
+contraction route reads one.
 
 The strict order and its down-set masks, the ideal test, the stream of all
 linear extensions and the ideals by a breadth-first search over bitmasks
@@ -52,16 +53,28 @@ from .wiring import _at, _crossings, _extended_stage_table, _stage_table
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
 
+class _CoversOnFirstRead:
+    # WordPoset.covers: covers an instance holds win over this non-data
+    # descriptor; a recorded poset builds its own off its word on first read
+    def __get__(self, P, owner=None):
+        if P is None or "_reading" not in P.__dict__:
+            raise AttributeError("covers")  # on the class too: no default
+        w, labels = P._reading
+        covers = P.__dict__["covers"] = tuple(sorted(_word_covers(w.letters, (0, *labels))))
+        return covers
+
+
 @dataclass(frozen=True)
 class WordPoset:
     """Poset on elements 1..size; columns[k-1] is the column of element k.
 
     covers is the sorted tuple of covering pairs (x, y) with x covered by y.
-    Every covering pair joins adjacent columns.
+    Every covering pair joins adjacent columns.  A poset built from a word
+    builds its covers on first read, so they still set ==, hash and repr.
     """
 
     columns: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
+    covers: tuple[tuple[int, int], ...] = _CoversOnFirstRead()
 
     def __post_init__(self):
         object.__setattr__(self, "covers", tuple(sorted(self.covers)))
@@ -157,12 +170,12 @@ def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int
 def _recorded_poset(w: Word, columns: tuple[int, ...], label: Sequence[int]) -> WordPoset:
     # The one place a poset is built from a word: the word poset of the
     # reduced word w, naming position k (from 1) label[k], with the given
-    # columns, and w recorded as its reading.  Valid by construction, so it
-    # skips the checks of WordPoset(columns, covers).
+    # columns, and w recorded as its reading, its covers left to their first
+    # read (_CoversOnFirstRead).  Valid by construction, so it skips the
+    # checks of WordPoset(columns, covers).
     P = object.__new__(WordPoset)
     fields = P.__dict__
     fields["columns"] = columns
-    fields["covers"] = tuple(sorted(_word_covers(w.letters, label)))
     fields["_reading"] = (w, label[1:])
     return P
 
@@ -182,7 +195,10 @@ def poset_of_word(w: Word) -> WordPoset:
     rank = max(letters, default=0)
     if w.rank != rank:
         w = Word(rank, letters)
-    return _recorded_poset(w, tuple(letters), range(len(letters) + 1))
+    P = _recorded_poset(w, tuple(letters), range(len(letters) + 1))
+    # read now while bench/test_bench.py::test_probes_run_on_cold_copies pins
+    P.covers  # "covers" in vars(P); its mend (ROADMAP 1a) deletes this line
+    return P
 
 
 def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:

@@ -308,10 +308,27 @@ def test_verify_scale_bounds(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "tits_connectivity", "--scale", "6")
     assert code == 1 and "budget" in err
     monkeypatch.setenv("GCWORDS_BUDGET", "2")
-    code, _, err = run(capsys, "verify", "contraction_laws", "--scale", "3")
+    code, _, err = run(capsys, "verify", "contraction_laws", "--scale", "5")
     assert code == 1 and "budget" in err
+    # below its default rank 4, as `verify contraction_laws` runs anyway
+    code, out, _ = run(capsys, "verify", "contraction_laws", "--scale", "3")
+    assert code == 0 and json.loads(out)["pass"] is True
     code, out, _ = run(capsys, "verify", "contraction_laws", "--scale", "2")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_verify_scale_is_refused_only_above_budget_and_default(capsys, monkeypatch):
+    # recurrence_by_delta runs rank 9 by default, above the budget of 5, so
+    # an explicit scale up to 9 runs; mirror_laws runs rank 5 by default
+    monkeypatch.delenv("GCWORDS_BUDGET", raising=False)
+    for scale in ("6", "9"):
+        code, out, _ = run(capsys, "verify", "recurrence_by_delta", "--scale", scale)
+        report = json.loads(out)
+        assert code == 0 and (report["pass"], report["params"]) == (True, {"n": int(scale)})
+    for argv in (("recurrence_by_delta", "--scale", "10"), ("mirror_laws", "--scale", "6")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "budget" in err and len(err.splitlines()) == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -122,9 +122,10 @@ def _records_a_word_poset(node) -> str | None:
 
 def test_one_constructor_records_every_word_poset():
     # only _recorded_poset builds a poset from a word without WordPoset's
-    # checks, valid by construction: a second raw construction or a second
-    # caller of the cover rule, which holds on reduced words only, must not
-    # come back
+    # checks, valid by construction, and only the first read of its covers
+    # (_CoversOnFirstRead.__get__) calls the cover rule: a second raw
+    # construction or a second caller of the cover rule, which holds on
+    # reduced words only, must not come back
     sites = {
         (path.stem, where, what)
         for path in MODULES
@@ -133,7 +134,7 @@ def test_one_constructor_records_every_word_poset():
     }
     assert sites == {
         ("word_poset", "_recorded_poset", "object.__new__(WordPoset)"),
-        ("word_poset", "_recorded_poset", "_word_covers"),
+        ("word_poset", "__get__", "_word_covers"),
     }
 
 
@@ -154,9 +155,9 @@ CALLERS.append(PACKAGE.parent.parent / "bench" / "workloads.py")
 
 def test_only_the_extension_walker_and_render_dot_walk_the_covers():
     # every production route reads a word: past the public constructor's
-    # checks and the entry check of a poset built from covers, only the
-    # extension walker and the Hasse diagram read the covers, and the CLI
-    # prints them
+    # checks, the entry check of a poset built from covers and the read in
+    # poset_of_word that builds its covers at once, only the extension
+    # walker and the Hasse diagram read the covers, and the CLI prints them
     sites = {
         (path.stem, where)
         for path in MODULES
@@ -167,6 +168,7 @@ def test_only_the_extension_walker_and_render_dot_walk_the_covers():
     assert sites == {
         ("word_poset", "__post_init__"),
         ("word_poset", "_reading"),
+        ("word_poset", "poset_of_word"),
         ("word_poset", "_extension"),
         ("word_poset", "render_dot"),
         ("cli", "_poset_plain"),

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from collections import deque
 from itertools import combinations, permutations, product
@@ -7,7 +9,9 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcwords.gc import gc_poset_of_delta
+from gcwords import word_poset
+from gcwords.gc import classify_gc, gc_direct, gc_poset_of_delta
+from gcwords.indices import full_profile
 from gcwords.lattice import (
     _SUMMANDS,
     _ideal_counts,
@@ -655,3 +659,81 @@ def test_covers_from_below_is_the_transitive_reduction(dag):
     }
     covers = _covers_from_below(below)
     assert len(covers) == len(brute) and set(covers) == brute
+
+
+def assert_lazy_covers_are_the_definition(make):
+    # make() builds a fresh recorded poset, its covers unread: read on first
+    # use, they are the covers of the definition oracle relabeled by the
+    # reading, and the poset compares, hashes and prints as the public
+    # poset of those covers, both before and after that read
+    P = make()
+    assert "covers" not in vars(P)
+    w, labels = P._reading
+    oracle = _poset_of_word_by_definition(w)
+    Q = WordPoset(P.columns, tuple((labels[x - 1], labels[y - 1]) for x, y in oracle.covers))
+    for probe in (lambda P: P == Q, lambda P: hash(P) == hash(Q), lambda P: repr(P) == repr(Q)):
+        P = make()
+        assert "covers" not in vars(P) and probe(P) and vars(P)["covers"] == Q.covers
+    P = make()
+    assert P.covers == Q.covers
+    R = WordPoset(P.columns, P.covers)
+    assert P == R and hash(P) == hash(R) and repr(P) == repr(R)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lazy_covers_of_gc_posets_are_the_definition(n):
+    for kinds in product("AD", repeat=n - 1):
+        assert_lazy_covers_are_the_definition(lambda: gc_poset_of_delta("".join(kinds)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lazy_covers_of_classes_are_the_definition(classes_of_rank, n):
+    for P in classes_of_rank(n):
+        letters = P._reading[0].letters
+        assert_lazy_covers_are_the_definition(lambda: _canonical_poset_of_word(letters))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=7),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+)
+def test_lazy_covers_of_canonical_forms_are_the_definition(n, choices):
+    w = random_braid_walk(standard_word(n), choices)
+    assert_lazy_covers_are_the_definition(lambda: canonical_form(poset_of_word(w)))
+
+
+def pickled(P):
+    return pickle.loads(pickle.dumps(P))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickled])
+def test_copies_of_an_unread_recorded_poset_read_the_same_covers(duplicate):
+    # a copy of an unread poset holds its reading and reads the same covers
+    # on first use; a poset that holds neither, as a copy is before its
+    # state is restored, has no covers, and neither has the class
+    for make in (
+        lambda: gc_poset_of_delta("ADDA"),
+        lambda: list(enumerate_commutation_classes(4))[17],
+        lambda: canonical_form(poset_of_word(STANDARD3)),
+    ):
+        P, C = make(), duplicate(make())
+        assert "covers" not in vars(C) and set(vars(C)) == set(vars(P))
+        assert C == P and C.covers == P.covers and hash(C) == hash(P)
+    assert not hasattr(object.__new__(WordPoset), "covers") and not hasattr(WordPoset, "covers")
+
+
+def test_counting_and_the_class_census_build_no_covers(monkeypatch):
+    built, calls = [], []
+    recorded, covers = word_poset._recorded_poset, word_poset._word_covers
+    monkeypatch.setattr(
+        word_poset, "_recorded_poset", lambda *args: built.append(recorded(*args)) or built[-1]
+    )
+    monkeypatch.setattr(word_poset, "_word_covers", lambda *args: calls.append(args) or covers(*args))
+    assert [gc_direct(n) for n in range(8)] == [1, 1, 2, 6, 40, 916, 102176, 68464624]
+    for P in enumerate_commutation_classes(4):
+        classify_gc(P)
+        full_profile(P)
+        count_linear_extensions(P)
+    assert len(built) == 2**7 - 1 + 62
+    assert calls == [] and not any("covers" in vars(P) for P in built)
