@@ -99,12 +99,12 @@ def _cmd_words(args) -> int:
 
 def _cmd_classes(args) -> int:
     _check_rank_budget(args.n, args, "enumerating commutation classes")
-    lexmin = [
-        word_poset.lexmin_word(P)
-        for P in word_poset.enumerate_commutation_classes(args.n)
-    ]
+    if args.n < 1:
+        raise DomainError(f"rank must be positive, got {args.n}")
+    # each tree word is its class's lexmin word (the lemma on _class_words);
     # in letter order, so the output does not depend on the enumeration route
-    reps = [str(w) for w in sorted(lexmin, key=lambda w: w.letters)]
+    tree = sorted(v for v, _ in word_poset._class_words(args.n, staged=False))
+    reps = [",".join(map(str, v)) for v in tree]
     if args.format == "json":
         print(json.dumps({"n": args.n, "count": len(reps), "classes": reps}, sort_keys=True))
     else:

@@ -19,6 +19,8 @@ the only columns an element needs.  The lexmin word is one greedy walk
 over the same table.  The splices form a
 class tree: each class of rank n is spliced from one class of rank n-1,
 and inherits its stage table, extended by the stages of the new wire.
+Each class's word in the tree is its lexmin word (the lemma on
+`_class_words`), so `gcwords classes` prints the tree's words as they are.
 
 Every poset reads its letters through one word of its class, `_reading`.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
@@ -310,6 +312,19 @@ def _class_words(n: int, staged: bool) -> Iterator[tuple[tuple[int, ...], list[i
     # stage table extends its parent's by the stages of the new wire
     # (`wiring._extended_stage_table`), so each table is built once, from
     # the one above it, and the tree holds one word and table per rank.
+    #
+    # Each tree word is its class's lexmin word, the greedy walk that always
+    # takes the least free column, by induction from () and this lemma: if v
+    # is lexmin and I an ideal with complement F, the splice is lexmin.  v on
+    # I is greedy on I: what is free in I is free in v.  v on F is greedy on
+    # F: were x taken while y in F, of a smaller column, is free in F, a
+    # minimal unplaced z below y lies in I and is free in v, so col y < col x
+    # < col z, and a path from z up to y meets column x at an unplaced
+    # element, so above x, putting x below y.  In the splice the chain and
+    # upper lie above the chain's top, of column n, so the walk takes lower
+    # first; then the chain, as an upper element of column c lies above the
+    # chain's c-1, so is free only once the chain is past it; then upper, in
+    # F's order.
     if n == 0:
         # two wires: no stage of three
         yield (), ([0] * _at(2, 2, 0) if staged else None)
@@ -335,7 +350,8 @@ def enumerate_commutation_classes(n: int) -> Iterator[WordPoset]:
     """One canonical word poset per commutation class of the longest element,
     each once.  The classes are built by word splices: each class of rank n
     extends one class of rank n-1 by a descending chain over one of its
-    order ideals.  Each poset comes with its stage table, extended from its
+    order ideals.  Each poset records its class's lexmin word, its word in
+    the class tree, and comes with its stage table, extended from its
     parent's, so the index, profile and classification routes build no
     crossing or stage table for it.  Holds O(n) words and stage tables at
     a time and never materializes the words of a class.

@@ -148,6 +148,26 @@ def test_classes_sorted_as_the_3move_oracle(capsys):
     assert json.loads(out)["classes"] == lines
 
 
+@pytest.mark.parametrize("n, fmt, digest", [
+    (5, (), "4c633a91e81d016d8fad3566cd49f841d80fe8b13d6d6a3f4aada4d700071341"),
+    (5, ("--format", "json"), "0f0f7e3766ff13f7273f98b420855fc97e0b6bdb9a1e58515a6bbd5b90bb5ede"),
+    (6, (), "8efca696aa531c99ed5590286231b2d91adc5e9e0a382fb5b0cd08588acda3c4"),
+    (6, ("--format", "json"), "9132379abda432afc3f6b3f1fdaef07a2fc8903a922d96f227d99084d7665c09"),
+], ids=["5-plain", "5-json", "6-plain", "6-json"])
+def test_classes_golden(n, fmt, digest):
+    # the digests pin the output of the route that printed the lexmin word
+    # of each enumerated class poset
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["classes", str(n), "--force", *fmt]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_classes_rejects_a_rank_below_one(capsys, n):
+    assert run(capsys, "classes", n) == (1, "", f"error: rank must be positive, got {n}\n")
+
+
 def test_poset_formats(capsys):
     code, out, _ = run(capsys, "poset", "1,3,2,1,3,2")
     assert code == 0

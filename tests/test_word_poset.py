@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcwords import word_poset
+from gcwords.cli import main
 from gcwords.gc import classify_gc, gc_direct, gc_poset_of_delta
 from gcwords.indices import full_profile
 from gcwords.lattice import (
@@ -530,6 +531,29 @@ def test_class_tree_order_is_pinned():
     for letters, _ in _class_words(5, staged=False):
         digest.update((",".join(map(str, letters)) + "\n").encode())
     assert digest.hexdigest() == CLASS_TREE_RANK5_SHA256
+
+
+def test_class_tree_words_are_lexmin():
+    # the lemma on _class_words: the greedy walk over the tree word's own
+    # table keeps it, at ranks 1-6, and the covers walk reads it, at 1-5
+    for n in range(1, 7):
+        for letters, _ in _class_words(n, staged=False):
+            P = _canonical_poset_of_word(letters)
+            assert lexmin_word(P).letters == letters
+            if n <= 5:
+                assert lexmin_word_by_covers(P).letters == letters
+
+
+def test_classes_command_builds_no_poset_table_or_lexmin_walk(monkeypatch, capsys):
+    calls = []
+    for name in ("_canonical_poset_of_word", "_extended_stage_table", "lexmin_word"):
+        original = getattr(word_poset, name)
+        monkeypatch.setattr(
+            word_poset, name, lambda *args, f=original: calls.append(f.__name__) or f(*args)
+        )
+    assert main(["classes", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 908
+    assert calls == []
 
 
 def test_braid_triples_match_word_level_3moves(words_of_rank):
