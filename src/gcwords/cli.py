@@ -104,12 +104,14 @@ def _cmd_classes(args) -> int:
     # each tree word is its class's lexmin word (the lemma on _class_words);
     # in letter order, so the output does not depend on the enumeration route
     tree = sorted(v for v, _ in word_poset._class_words(args.n, staged=False))
-    reps = [",".join(map(str, v)) for v in tree]
     if args.format == "json":
+        reps = [",".join(map(str, v)) for v in tree]
         print(json.dumps({"n": args.n, "count": len(reps), "classes": reps}, sort_keys=True))
     else:
-        for rep in reps:
-            print(rep)
+        # one line at a time: only the sort needs every word at once
+        write = sys.stdout.write
+        for v in tree:
+            write(",".join(map(str, v)) + "\n")
     return 0
 
 

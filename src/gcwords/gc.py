@@ -56,9 +56,9 @@ def classify_gc(P: WordPoset) -> str | None:
     >>> classify_gc(poset_of_word(standard_word(3)))
     'DD'
     """
-    _ranked(P._reading[0], "a classification")
+    w = _ranked(P._word, "a classification")
     # the stage is wires lo..hi
-    table, width = P._stage_table, P.rank + 2
+    table, width = P._stage_table, w.rank + 2
     letters = []
     lo, hi = 1, width - 1
     while hi - lo > 1:

@@ -3,7 +3,7 @@
 Every word poset of the longest element contains a unique chain reading the
 letters n..1 column-wise (the descending chain) and a unique chain reading
 1..n (the ascending chain); they share exactly one element.  Each public
-function reads one word of the poset's class, its `_reading` (see
+function reads one word of the poset's class, its `_word` (see
 `word_poset`), and then works on letters alone.  The chains, ideals and
 contractions read the crossing table of that word, cached beside it, and
 the indices, profiles and classification the stage table cached beside
@@ -87,7 +87,7 @@ def _ranked(w: Word, what: str) -> Word:
 
 
 def _chain(P: WordPoset, kind: str) -> tuple[int, ...]:
-    w, labels = P._reading
+    w, labels = P._word, P._labels
     return tuple(labels[r - 1] for r in _chain_rows(w, P._crossing_table)[kind == "D"])
 
 
@@ -115,16 +115,18 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
 
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
-    return P._stage_table[_at(P.rank + 2, 1, P.rank + 1) + 1]
+    n = P._word.rank
+    return P._stage_table[_at(n + 2, 1, n + 1) + 1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
-    return P._stage_table[_at(P.rank + 2, 1, P.rank + 1)]
+    n = P._word.rank
+    return P._stage_table[_at(n + 2, 1, n + 1)]
 
 
 def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
-    w, labels = P._reading
+    w, labels = P._word, P._labels
     rows = _chain_rows(w, P._crossing_table)[kind == "D"]
     return frozenset(labels[r - 1] for r in _ideal_rows(w.letters, rows))
 
@@ -141,11 +143,10 @@ def contraction_ideal_A(P: WordPoset) -> frozenset:
 
 def _contract_with_map(P: WordPoset, kind: str) -> tuple[WordPoset, dict[int, int]]:
     # the letter rule on P's own word, then the canonical poset of the result
-    w, labels = P._reading
-    _ranked(w, "a contraction")
+    w, labels = _ranked(P._word, "a contraction"), P._labels
     contracted, kept = _contract(w, _chain_rows(w, P._crossing_table)[kind == "D"], kind)
     Q = _canonical_poset_of_word(contracted.letters)
-    return Q, dict(sorted(zip((labels[r - 1] for r in kept), Q._reading[1])))
+    return Q, dict(sorted(zip((labels[r - 1] for r in kept), Q._labels)))
 
 
 def contract_D_with_map(P: WordPoset) -> tuple[WordPoset, dict[int, int]]:
@@ -221,7 +222,7 @@ def delta_index(P: WordPoset, delta: str) -> tuple[int, ...]:
     (0, 0)
     """
     validate_delta(delta)
-    w = _ranked(P._reading[0], "a delta-index")
+    w = _ranked(P._word, "a delta-index")
     n = w.rank
     if len(delta) != n - 1:
         raise DomainError(f"delta must have length {n - 1}, got {len(delta)}")
@@ -248,9 +249,9 @@ def full_profile(P: WordPoset) -> dict[str, tuple[int, ...]]:
     on wires a+1..n+1-d, so the vectors are gathered from one table of the
     indices of the n(n-1)/2 stages, through a plan shared by every profile
     of the rank."""
-    _ranked(P._reading[0], "a delta-profile")
+    n = _ranked(P._word, "a delta-profile").rank
     table = P._stage_table
-    return {delta: gather(table) for delta, gather in _profile_plan(P.rank)}
+    return {delta: gather(table) for delta, gather in _profile_plan(n)}
 
 
 # a plan of rank 8 holds 28 KiB and one of rank 12 about 0.6 MiB, about

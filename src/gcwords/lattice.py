@@ -20,8 +20,10 @@ Where a level of the lattice holds one ideal, the poset is the ordinal sum
 of that ideal and the rest, and its linear extensions are the products of
 theirs (Stanley, Enumerative Combinatorics I, 3.5).  So the count cuts a
 word's poset at every such level (`_ordinal_cuts`, one pass over the
-letters) and walks each summand of two or more elements once: a GC poset
-splits at every run of its delta, and many GC posets share a summand.
+letters) and walks each summand of two or more elements once, up to
+shift and flip: a GC poset splits at every run of its delta, many GC
+posets share a summand, and the flip c -> m+1-c (conjugation by w0) of a
+summand has the same order on its positions, so the same count.
 """
 
 from __future__ import annotations
@@ -183,9 +185,9 @@ def _ordinal_cuts(letters: Sequence[int]) -> list[int]:
     return cuts
 
 
-# The number of distinct summands the count remembers.  gc(0..9) meets 56
-# and gc(0..12) 110, so every GC summand of the tables stays; other posets
-# evict the least recently counted.
+# The number of distinct summands the count remembers, up to shift and
+# flip.  gc(0..9) meets 28 and gc(0..12) 55, so every GC summand of the
+# tables stays; other posets evict the least recently counted.
 _SUMMANDS = 256
 
 
@@ -203,12 +205,16 @@ def _extension_count(letters: Sequence[int]) -> int:
     # the linear extensions of the word poset of a reduced word: the product
     # over its ordinal summands, a one-letter summand counting 1 unwalked.
     # A summand is an interval of the ordinal sum, so its order is the word
-    # poset of its own letters.
+    # poset of its own letters.  The flip c -> high - c keeps which letters
+    # differ by one, so it keeps that order on the positions, and a summand
+    # and its flip share one key, the lesser of the two shifted to start at 1.
     total, start = 1, 0
     for end in (*_ordinal_cuts(letters), len(letters)):
         if end - start > 1:
             summand = letters[start:end]
-            low = min(summand) - 1
-            total *= _summand_count(tuple(c - low for c in summand))
+            low, high = min(summand) - 1, max(summand) + 1
+            up = tuple(c - low for c in summand)
+            down = tuple(high - c for c in summand)
+            total *= _summand_count(min(up, down))
         start = end
     return total

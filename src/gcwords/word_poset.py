@@ -22,21 +22,25 @@ and inherits its stage table, extended by the stages of the new wire.
 Each class's word in the tree is its lexmin word (the lemma on
 `_class_words`), so `gcwords classes` prints the tree's words as they are.
 
-Every poset reads its letters through one word of its class, `_reading`.
+Every poset reads its letters through one word of its class, `_word`, and
+its elements through `_labels`, the element at each position of that word.
 A poset built from a word (by `poset_of_word`, or as the canonical poset
-of a class word, both through `_recorded_poset`) keeps that word with the
-element at each of its positions, builds its covers off it on first read
-and skips the checks of the public constructor, which cannot fail on it.
-Any other poset, a copy of one of those included, walks its covers once
+of a class word, both through `_recorded_poset`) keeps that word, builds
+its covers off it on first read and skips the checks of the public
+constructor, which cannot fail on it.  `poset_of_word` records the columns
+and labels too; a canonical poset records its word alone, and builds its
+columns (its letters, sorted) and labels (the j-th occurrence of c) on
+first read, which counting, classifying and profiling never do.  Any other
+poset, a copy of one of those included, walks its covers once
 (`_extension`) for its lexmin word, and is checked to be that word's
 poset.  The column chains, the canonical form, the extension count and
-the lexmin word read the word.  The chain, ideal and contraction routes
-read the crossing table cached beside it, and the index, profile and
-classification routes the one stage table cached beside that: their
-answers are the same on every word of the class.  A class poset of
-`enumerate_commutation_classes` comes with the stage table its class tree
-extended, so it builds a crossing table only when a chain, ideal or
-contraction route reads one.
+the lexmin word read the word, and take the rank from it.  The chain,
+ideal and contraction routes read the crossing table cached beside it,
+and the index, profile and classification routes the one stage table
+cached beside that: their answers are the same on every word of the
+class.  A class poset of `enumerate_commutation_classes` comes with the
+stage table its class tree extended, so it builds a crossing table only
+when a chain, ideal or contraction route reads one.
 
 The strict order and its down-set masks, the ideal test, the stream of all
 linear extensions and the ideals by a breadth-first search over bitmasks
@@ -55,15 +59,24 @@ from .wiring import _at, _crossings, _extended_stage_table, _stage_table
 from .words import DomainError, Word, _splice, is_reduced, standard_word
 
 
-class _CoversOnFirstRead:
-    # WordPoset.covers: covers an instance holds win over this non-data
-    # descriptor; a recorded poset builds its own off its word on first read
+class _BuiltOnFirstRead:
+    # WordPoset.columns and .covers: a value an instance holds wins over this
+    # non-data descriptor; a poset that records its word and not the value
+    # builds it off the word on first read and keeps it.  Only a canonical
+    # poset records no columns, and they list its letters, sorted.
+    def __set_name__(self, owner, name):
+        self.name = name
+
     def __get__(self, P, owner=None):
-        if P is None or "_reading" not in P.__dict__:
-            raise AttributeError("covers")  # on the class too: no default
-        w, labels = P._reading
-        covers = P.__dict__["covers"] = tuple(sorted(_word_covers(w.letters, (0, *labels))))
-        return covers
+        if P is None or "_word" not in P.__dict__:
+            raise AttributeError(self.name)  # on the class too: no default
+        letters = P._word.letters
+        if self.name == "columns":
+            value = tuple(sorted(letters))
+        else:
+            value = tuple(sorted(_word_covers(letters, (0, *P._labels))))
+        P.__dict__[self.name] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -72,11 +85,12 @@ class WordPoset:
 
     covers is the sorted tuple of covering pairs (x, y) with x covered by y.
     Every covering pair joins adjacent columns.  A poset built from a word
-    builds its covers on first read, so they still set ==, hash and repr.
+    builds its covers on first read, and a canonical poset its columns too,
+    so they still set ==, hash and repr.
     """
 
-    columns: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...] = _CoversOnFirstRead()
+    columns: tuple[int, ...] = _BuiltOnFirstRead()
+    covers: tuple[tuple[int, int], ...] = _BuiltOnFirstRead()
 
     def __post_init__(self):
         object.__setattr__(self, "covers", tuple(sorted(self.covers)))
@@ -106,29 +120,46 @@ class WordPoset:
         return max(self.columns, default=0)
 
     @cached_property
-    def _reading(self) -> tuple[Word, Sequence[int]]:
-        """A word of this poset's class and the element at each of its
-        positions: element labels[r-1] sits at row r.  _recorded_poset,
-        which builds every poset from a word, sets it to that word, a word
-        of the poset by construction.  Any other poset, a copy included,
-        walks its covers once, least column first, for its lexmin word,
-        checked to have this poset as its poset: the covers, relabeled by
-        position in that extension, must be the covers of poset_of_word.
-        A failed check raises and is not cached."""
+    def _word(self) -> Word:
+        """A word of this poset's class, at the poset's rank.
+        _recorded_poset, which builds every poset from a word, sets it to
+        that word, a word of the poset by construction.  Any other poset, a
+        copy included, walks its covers once, least column first, for its
+        lexmin word, checked to have this poset as its poset: the covers,
+        relabeled by position in that extension, must be the covers of
+        poset_of_word.  The walk also sets _labels.  A failed check raises
+        and is not cached."""
         extension = _extension(self, key=lambda k: (self.columns[k - 1], k))
         w = word_of_extension(self, extension)
         row = {k: r for r, k in enumerate(extension, start=1)}
         if tuple(sorted((row[x], row[y]) for x, y in self.covers)) != poset_of_word(w).covers:
             raise DomainError(f"poset is not the word poset of its word {w}")
-        return w, extension
+        self.__dict__["_labels"] = extension
+        return w
+
+    @cached_property
+    def _labels(self) -> Sequence[int]:
+        """The element at each position of _word: element labels[r-1] sits
+        at row r.  poset_of_word records them, and the walk of a poset that
+        records no word sets them.  A canonical poset builds them on first
+        read: its elements are its word's positions sorted by letter, and
+        sorting is stable, so the j-th occurrence of c is the j-th element
+        of column c."""
+        letters = self._word.letters
+        if "_labels" in self.__dict__:  # set by the walk for _word
+            return self.__dict__["_labels"]
+        labels = [0] * len(letters)
+        for k, r in enumerate(sorted(range(len(letters)), key=letters.__getitem__), start=1):
+            labels[r] = k
+        return tuple(labels)
 
     @cached_property
     def _crossing_table(self) -> list[list[int]]:
-        """The crossing table of the word in _reading (`wiring._crossings`),
+        """The crossing table of _word (`wiring._crossings`),
         which the chain, ideal, contraction and extension routes read.
         Raises, uncached, unless that word is a reduced word of the
         longest element."""
-        return _crossings(self._reading[0])
+        return _crossings(self._word)
 
     @cached_property
     def _stage_table(self) -> list[int]:
@@ -142,9 +173,8 @@ class WordPoset:
     def column_chains(self) -> dict[int, tuple[int, ...]]:
         """Elements of each column, bottom to top: the j-th occurrence of c
         in the poset's word is the j-th element of column c."""
-        w, labels = self._reading
         chains: dict[int, list[int]] = {}
-        for c, k in zip(w.letters, labels):
+        for c, k in zip(self._word.letters, self._labels):
             chains.setdefault(c, []).append(k)
         return {c: tuple(chains[c]) for c in sorted(chains)}
 
@@ -169,16 +199,22 @@ def _word_covers(letters: Sequence[int], label: Sequence[int]) -> list[tuple[int
     return covers
 
 
-def _recorded_poset(w: Word, columns: tuple[int, ...], label: Sequence[int]) -> WordPoset:
+def _recorded_poset(
+    w: Word, columns: tuple[int, ...] | None = None, labels: Sequence[int] | None = None
+) -> WordPoset:
     # The one place a poset is built from a word: the word poset of the
-    # reduced word w, naming position k (from 1) label[k], with the given
-    # columns, and w recorded as its reading, its covers left to their first
-    # read (_CoversOnFirstRead).  Valid by construction, so it skips the
-    # checks of WordPoset(columns, covers).
+    # reduced word w, with the given columns and the element at each
+    # position of w, or, when neither is given, the canonical poset of w.
+    # It records w as its word, and leaves its covers, and a canonical
+    # poset its columns and labels, to their first read (_BuiltOnFirstRead,
+    # WordPoset._labels).  Valid by construction, so it skips the checks of
+    # WordPoset(columns, covers).
     P = object.__new__(WordPoset)
     fields = P.__dict__
-    fields["columns"] = columns
-    fields["_reading"] = (w, label[1:])
+    fields["_word"] = w
+    if columns is not None:
+        fields["columns"] = columns
+        fields["_labels"] = labels
     return P
 
 
@@ -197,30 +233,16 @@ def poset_of_word(w: Word) -> WordPoset:
     rank = max(letters, default=0)
     if w.rank != rank:
         w = Word(rank, letters)
-    P = _recorded_poset(w, tuple(letters), range(len(letters) + 1))
+    P = _recorded_poset(w, tuple(letters), range(1, len(letters) + 1))
     # read now while bench/test_bench.py::test_probes_run_on_cold_copies pins
     P.covers  # "covers" in vars(P); its mend (ROADMAP 1a) deletes this line
     return P
 
 
 def _canonical_poset_of_word(letters: Sequence[int]) -> WordPoset:
-    # canonical_form(poset_of_word(w)) for a reduced word w, read off its
-    # letters: the columns list each c counts(c) times, and the column chain
-    # of c lists the occurrences of c in word order, so the j-th occurrence
-    # of c is element offset(c) + j, where offset(c) counts the letters below c.
-    counts = [0] * (max(letters, default=0) + 1)
-    for c in letters:
-        counts[c] += 1
-    offset, columns = [0] * len(counts), []
-    for c in range(1, len(counts)):
-        offset[c] = len(columns)
-        columns += [c] * counts[c]
-    label = [0]
-    for c in letters:
-        offset[c] += 1
-        label.append(offset[c])
-    w = Word._unchecked(len(counts) - 1, tuple(letters), None)
-    return _recorded_poset(w, tuple(columns), tuple(label))
+    # canonical_form(poset_of_word(w)) for a reduced word w: it records the
+    # word alone, and builds its columns and labels off it on first read
+    return _recorded_poset(Word._unchecked(max(letters, default=0), tuple(letters), None))
 
 
 def canonical_form(P: WordPoset) -> WordPoset:
@@ -229,7 +251,7 @@ def canonical_form(P: WordPoset) -> WordPoset:
     send the k-th element of a column chain to the k-th element of the same
     column chain.
     """
-    return _canonical_poset_of_word(P._reading[0].letters)
+    return _canonical_poset_of_word(P._word.letters)
 
 
 def is_isomorphic(P: WordPoset, Q: WordPoset) -> bool:
@@ -245,7 +267,7 @@ def count_linear_extensions(P: WordPoset) -> int:
     >>> count_linear_extensions(poset_of_word(standard_word(3)))
     2
     """
-    return _extension_count(P._reading[0].letters)
+    return _extension_count(P._word.letters)
 
 
 def _extension(P: WordPoset, key) -> tuple[int, ...]:
@@ -280,7 +302,7 @@ def lexmin_word(P: WordPoset) -> Word:
     >>> str(lexmin_word(poset_of_word(standard_word(3))))
     '1,2,1,3,2,1'
     """
-    w = P._reading[0]
+    w = P._word
     needs = _word_needs(w.letters, w.rank)
     held = [0] * (w.rank + 2)
     letters, c = [], 1
@@ -390,7 +412,7 @@ def render_dot(P: WordPoset) -> str:
     """Hasse diagram in DOT.  Node k is pinned at x = column; y grows with
     the longest chain below, so `neato -n` reproduces the usual picture.
     Output is byte-stable for equal posets."""
-    row = {k: r for r, k in enumerate(P._reading[1])}
+    row = {k: r for r, k in enumerate(P._labels)}
     height = [1] * P.size
     for x, y in sorted(P.covers, key=lambda cover: row[cover[1]]):
         height[y - 1] = max(height[y - 1], height[x - 1] + 1)

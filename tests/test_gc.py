@@ -421,7 +421,7 @@ def test_gc_posets_split_at_their_runs():
                 start += sum(mu)
                 cuts.append(start)  # the strip's end
             assert start == P.size
-            assert _ordinal_cuts(P._reading[0].letters) == one_ideal_levels(P) == cuts[:-1]
+            assert _ordinal_cuts(P._word.letters) == one_ideal_levels(P) == cuts[:-1]
 
 
 def test_ind_of_construction_matches_last_letter():

@@ -334,7 +334,7 @@ def test_class_tree_seeds_the_stage_table_of_the_class_word(n):
     # the enumeration seeds the stage table and builds no crossing table
     for P in islice(enumerate_commutation_classes(n), 2000):
         assert "_stage_table" in vars(P) and "_crossing_table" not in vars(P)
-        assert vars(P)["_stage_table"] == wiring._stage_table(wiring._crossings(P._reading[0]))
+        assert vars(P)["_stage_table"] == wiring._stage_table(wiring._crossings(P._word))
 
 
 @settings(deadline=None, max_examples=40)
@@ -662,7 +662,7 @@ def test_contractions_apply_the_letter_rule_on_any_word_of_the_class(kind, n, se
     for R, same in (
         (P, range(1, P.size + 1)),
         (poset_of_word(word_of_extension(P, extension)), extension),
-        (canonical, [canonical._reading[1].index(k) + 1 for k in range(1, P.size + 1)]),
+        (canonical, [canonical._labels.index(k) + 1 for k in range(1, P.size + 1)]),
         (copy_of(P), range(1, P.size + 1)),
     ):
         Q, m = contract(R)
@@ -752,7 +752,7 @@ def test_recorded_posets_compare_and_hash_by_columns_and_covers():
              if v != w)
     P, Q = (_canonical_poset_of_word(u.letters) for u in (w, v))
     copy = copy_of(walked)
-    assert P._reading[0] != Q._reading[0]
+    assert P._word != Q._word
     assert hash(P) == hash(copy) == hash(Q)
     assert P == copy == Q
     assert len({P, Q, copy}) == 1

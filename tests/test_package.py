@@ -123,7 +123,7 @@ def _records_a_word_poset(node) -> str | None:
 def test_one_constructor_records_every_word_poset():
     # only _recorded_poset builds a poset from a word without WordPoset's
     # checks, valid by construction, and only the first read of its covers
-    # (_CoversOnFirstRead.__get__) calls the cover rule: a second raw
+    # (_BuiltOnFirstRead.__get__) calls the cover rule: a second raw
     # construction or a second caller of the cover rule, which holds on
     # reduced words only, must not come back
     sites = {
@@ -167,7 +167,7 @@ def test_only_the_extension_walker_and_render_dot_walk_the_covers():
     }
     assert sites == {
         ("word_poset", "__post_init__"),
-        ("word_poset", "_reading"),
+        ("word_poset", "_word"),
         ("word_poset", "poset_of_word"),
         ("word_poset", "_extension"),
         ("word_poset", "render_dot"),

@@ -283,6 +283,30 @@ def test_extension_count_splits_at_the_one_ideal_levels(n, choices, start, stop)
             assert counted == sum(1 for _ in linear_extensions(P))
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=7),
+    choices=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+    start=st.integers(min_value=0, max_value=10**6),
+    stop=st.integers(min_value=0, max_value=10**6),
+)
+def test_a_word_and_its_flip_share_their_summand_counts(n, choices, start, stop):
+    # the flip c -> n+1-c keeps which letters differ by one, so a word and
+    # its flip have one order on their positions and one count, and the
+    # count keys their summands alike: counting the flip right after the
+    # word walks no summand
+    w = random_braid_walk(standard_word(n), choices)
+    start, stop = sorted((start % (len(w) + 1), stop % (len(w) + 1)))
+    for letters in (w.letters, w.letters[start:stop]):
+        P = poset_of_word(Word(n, letters))
+        F = poset_of_word(Word(n, tuple(n + 1 - c for c in letters)))
+        counted = count_linear_extensions(P)
+        misses = _summand_count.cache_info().misses
+        assert count_linear_extensions(F) == counted
+        assert _summand_count.cache_info().misses == misses
+        assert counted == count_linear_extensions_unsplit(F)
+
+
 def test_summand_cache_holds_at_most_its_fixed_size(classes_of_rank):
     # the classes of ranks 1-5 have more distinct summands than the cache
     # holds, so it fills and then evicts
@@ -330,10 +354,10 @@ def test_walker_levels_are_the_oracle_ideals(classes_of_rank):
     for n in range(1, 8):
         for letters in product("AD", repeat=n - 1):
             P = gc_poset_of_delta("".join(letters))
-            assert walker_levels_are_the_oracle_ideals(P, _word_needs(P._reading[0].letters, n))
+            assert walker_levels_are_the_oracle_ideals(P, _word_needs(P._word.letters, n))
     for n in range(1, 5):
         for P in classes_of_rank(n):
-            assert walker_levels_are_the_oracle_ideals(P, _word_needs(P._reading[0].letters, n))
+            assert walker_levels_are_the_oracle_ideals(P, _word_needs(P._word.letters, n))
     # the zigzag chain of test_long_columns_widen_the_packed_key, walked on
     # the covers' table
     chain = WordPoset((1, 2) * 69 + (1,), tuple((i, i + 1) for i in range(1, 139)))
@@ -606,7 +630,7 @@ def test_word_needs_are_the_poset_needs(words_of_rank, classes_of_rank):
         for w in words_of_rank(n):
             assert _word_needs(w.letters, n) == _poset_needs(poset_of_word(w))
     for P in classes_of_rank(5):
-        assert _word_needs(P._reading[0].letters, 5) == _poset_needs(P)
+        assert _word_needs(P._word.letters, 5) == _poset_needs(P)
 
 
 @settings(deadline=None, max_examples=40)
@@ -633,7 +657,7 @@ def test_walker_levels_are_pinned(classes_of_rank):
               for kinds in product("AD", repeat=n - 1)]
     posets += [P for n in range(1, 6) for P in classes_of_rank(n)]
     for P in posets:
-        for level in _ideal_levels(_word_needs(P._reading[0].letters, P.rank)):
+        for level in _ideal_levels(_word_needs(P._word.letters, P.rank)):
             digest.update(repr(list(level.items())).encode())
     assert digest.hexdigest() == WALKER_LEVELS_SHA256
 
@@ -687,12 +711,12 @@ def test_covers_from_below_is_the_transitive_reduction(dag):
 
 def assert_lazy_covers_are_the_definition(make):
     # make() builds a fresh recorded poset, its covers unread: read on first
-    # use, they are the covers of the definition oracle relabeled by the
-    # reading, and the poset compares, hashes and prints as the public
+    # use, they are the covers of the definition oracle relabeled by its
+    # labels, and the poset compares, hashes and prints as the public
     # poset of those covers, both before and after that read
     P = make()
     assert "covers" not in vars(P)
-    w, labels = P._reading
+    w, labels = P._word, P._labels
     oracle = _poset_of_word_by_definition(w)
     Q = WordPoset(P.columns, tuple((labels[x - 1], labels[y - 1]) for x, y in oracle.covers))
     for probe in (lambda P: P == Q, lambda P: hash(P) == hash(Q), lambda P: repr(P) == repr(Q)):
@@ -713,7 +737,7 @@ def test_lazy_covers_of_gc_posets_are_the_definition(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_lazy_covers_of_classes_are_the_definition(classes_of_rank, n):
     for P in classes_of_rank(n):
-        letters = P._reading[0].letters
+        letters = P._word.letters
         assert_lazy_covers_are_the_definition(lambda: _canonical_poset_of_word(letters))
 
 
@@ -733,7 +757,7 @@ def pickled(P):
 
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickled])
 def test_copies_of_an_unread_recorded_poset_read_the_same_covers(duplicate):
-    # a copy of an unread poset holds its reading and reads the same covers
+    # a copy of an unread poset holds its word and reads the same covers
     # on first use; a poset that holds neither, as a copy is before its
     # state is restored, has no covers, and neither has the class
     for make in (
@@ -745,6 +769,42 @@ def test_copies_of_an_unread_recorded_poset_read_the_same_covers(duplicate):
         assert "covers" not in vars(C) and set(vars(C)) == set(vars(P))
         assert C == P and C.covers == P.covers and hash(C) == hash(P)
     assert not hasattr(object.__new__(WordPoset), "covers") and not hasattr(WordPoset, "covers")
+
+
+def assert_lazy_columns_and_labels_are_the_eager_rule(letters):
+    # a canonical poset of the word's class records the word alone; read
+    # on first use, its columns list each letter c as often as the word
+    # does, ascending, and the j-th occurrence of c is the j-th element of
+    # column c.  It compares, hashes and prints as the public poset of the
+    # definition oracle's covers so labeled, and so does a copy of it unread
+    rank = max(letters, default=0)
+    columns = tuple(c for c in range(1, rank + 1) for _ in range(letters.count(c)))
+    labels = tuple(columns.index(c) + letters[:r].count(c) + 1 for r, c in enumerate(letters))
+    oracle = _poset_of_word_by_definition(Word(rank, letters))
+    Q = WordPoset(columns, tuple((labels[x - 1], labels[y - 1]) for x, y in oracle.covers))
+    for probe in (lambda P: P == Q, lambda P: hash(P) == hash(Q), lambda P: repr(P) == repr(Q)):
+        P = _canonical_poset_of_word(letters)
+        assert set(vars(P)) == {"_word"} and probe(P)
+        assert vars(P)["columns"] == columns and vars(P)["_labels"] == labels
+    for duplicate in (copy.copy, copy.deepcopy, pickled):
+        C = duplicate(_canonical_poset_of_word(letters))
+        assert set(vars(C)) == {"_word"}
+        assert C.columns == columns and C._labels == labels and C == Q and hash(C) == hash(Q)
+    P = _canonical_poset_of_word(letters)
+    assert P._labels == labels and "columns" not in vars(P) and P.columns == columns
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lazy_columns_and_labels_of_gc_posets_are_the_eager_rule(n):
+    for kinds in product("AD", repeat=n - 1):
+        letters = gc_poset_of_delta("".join(kinds))._word.letters
+        assert_lazy_columns_and_labels_are_the_eager_rule(letters)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lazy_columns_and_labels_of_classes_are_the_eager_rule(classes_of_rank, n):
+    for P in classes_of_rank(n):
+        assert_lazy_columns_and_labels_are_the_eager_rule(P._word.letters)
 
 
 def test_counting_and_the_class_census_build_no_covers(monkeypatch):
@@ -760,4 +820,6 @@ def test_counting_and_the_class_census_build_no_covers(monkeypatch):
         full_profile(P)
         count_linear_extensions(P)
     assert len(built) == 2**7 - 1 + 62
-    assert calls == [] and not any("covers" in vars(P) for P in built)
+    assert calls == []
+    # nor columns or labels, which a canonical poset builds on first read
+    assert not any(vars(P).keys() & {"covers", "columns", "_labels"} for P in built)
