@@ -101,9 +101,15 @@ def _cmd_classes(args) -> int:
     _check_rank_budget(args.n, args, "enumerating commutation classes")
     if args.n < 1:
         raise DomainError(f"rank must be positive, got {args.n}")
+    if args.n > 255:
+        # the sort keys below hold one letter a byte; the class tree also
+        # nests one generator per rank, past the interpreter's recursion limit
+        raise DomainError(f"classes needs a rank of at most 255, got {args.n}")
     # each tree word is its class's lexmin word (the lemma on _class_words);
-    # in letter order, so the output does not depend on the enumeration route
-    tree = sorted(v for v, _ in word_poset._class_words(args.n, staged=False))
+    # in letter order, so the output does not depend on the enumeration
+    # route.  bytes sort as their letters do and take a quarter of a tuple's
+    # memory, which the sort holds for every class at once
+    tree = sorted(bytes(v) for v, _ in word_poset._class_words(args.n, staged=False))
     if args.format == "json":
         reps = [",".join(map(str, v)) for v in tree]
         print(json.dumps({"n": args.n, "count": len(reps), "classes": reps}, sort_keys=True))

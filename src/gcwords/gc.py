@@ -58,11 +58,11 @@ def classify_gc(P: WordPoset) -> str | None:
     """
     w = _ranked(P._word, "a classification")
     # the stage is wires lo..hi
-    table, width = P._stage_table, w.rank + 2
+    table = P._stage_table
     letters = []
-    lo, hi = 1, width - 1
+    lo, hi = 1, w.rank + 1
     while hi - lo > 1:
-        at = _at(width, lo, hi)
+        at = _at(lo, hi)
         a, d = table[at], table[at + 1]
         if a == 0 and d == 0:
             raise RuntimeError("internal error: both indices vanish above rank 1")

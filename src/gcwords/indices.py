@@ -116,13 +116,13 @@ def ascending_chain(P: WordPoset) -> tuple[int, ...]:
 def ind_D(P: WordPoset) -> int:
     """Number of elements above the descending chain, column-wise."""
     n = P._word.rank
-    return P._stage_table[_at(n + 2, 1, n + 1) + 1]
+    return P._stage_table[_at(1, n + 1) + 1]
 
 
 def ind_A(P: WordPoset) -> int:
     """Number of elements above the ascending chain, column-wise."""
     n = P._word.rank
-    return P._stage_table[_at(n + 2, 1, n + 1)]
+    return P._stage_table[_at(1, n + 1)]
 
 
 def _contraction_ideal(P: WordPoset, kind: str) -> frozenset:
@@ -238,7 +238,7 @@ def _delta_positions(n: int, delta: str) -> list[int]:
     positions, a, d = [0] * len(delta), 0, 0
     for k in range(len(delta) - 1, -1, -1):
         kind = delta[k]
-        positions[k] = _at(n + 2, a + 1, n + 1 - d) + (kind == "D")
+        positions[k] = _at(a + 1, n + 1 - d) + (kind == "D")
         a, d = (a + 1, d) if kind == "A" else (a, d + 1)
     return positions
 

@@ -29,7 +29,7 @@ summand has the same order on its positions, so the same count.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .words import DomainError
 
@@ -43,15 +43,6 @@ def _ideal_fields(
     # width and each column's shift.
     width = max((len(left) for left, _ in needs), default=0).bit_length()
     return width, [width * ci for ci in reversed(range(len(needs)))]
-
-
-def _ideal_counts(
-    needs: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> Callable[[int], tuple[int, ...]]:
-    # the decoder of the walker's keys on this table: key -> per-column counts
-    width, shifts = _ideal_fields(needs)
-    mask = (1 << width) - 1
-    return lambda key: tuple(key >> shift & mask for shift in shifts)
 
 
 # A frontier, the bit set of an ideal's addable columns (bit ci for column

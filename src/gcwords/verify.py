@@ -617,7 +617,7 @@ def check_class_poset_equivalence(n: int = 4) -> Report:
             rows = _crossings(greatest)
             for lo in range(1, width):
                 for hi in range(lo + 1, width):
-                    at = _at(width, lo, hi)
+                    at = _at(lo, hi)
                     if tuple(table[at : at + 2]) != _indices(rows, lo, hi):
                         return False, {"word": str(w), "stage": [lo, hi],
                                        "reason": "tree's stage table differs from the pair test"}

@@ -17,7 +17,7 @@ word poset from a diagram, is an oracle in `verify`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from .words import DomainError, Word
 
@@ -53,59 +53,64 @@ def _crossings(w: Word) -> list[list[int]]:
     raise DomainError(f"{w} is not a reduced word of the longest element")
 
 
-def _at(width: int, lo: int, hi: int) -> int:
-    # where the stage on wires lo..hi keeps ind_A in a stage table of width
-    # n + 2; ind_D follows it
-    return 2 * (lo * width + hi)
+def _at(lo: int, hi: int) -> int:
+    # where the stage on wires lo..hi keeps ind_A, ind_D following it.  The
+    # stages are grouped by top wire hi, each group lo = 1..hi-1 ascending,
+    # so a table on wires 1..m is a prefix of every table on more wires
+    return (hi - 1) * (hi - 2) + 2 * (lo - 1)
 
 
 def _stage_table(rows: list[list[int]]) -> list[int]:
     """(ind_A, ind_D) of the stage on wires lo..hi of the crossing table
-    rows, for every stage, flat at _at(n + 2, lo, hi), with 0 for the stages
-    of fewer than three wires.  A stage's ind_A (ind_D) counts the crossings
-    of two other wires that wire lo (hi) has crossed both of before they
-    cross.  Adding wire hi to the stage on wires lo..hi-1 adds to ind_A
-    each crossing of hi with an inner wire i that comes after wire lo has
-    crossed both; adding wire lo to the stage on wires lo+1..hi adds to
-    ind_D each crossing of lo with an inner wire i that comes after wire hi
-    has crossed both.  So each stage costs one test per inner wire, O(n^3)
-    for the table."""
+    rows, for every stage, flat at _at(lo, hi), with 0 for the stages of
+    fewer than three wires: n(n+1) entries at rank n, the 2(hi-1) entries of
+    top wire hi after those of hi-1.  A stage's ind_A (ind_D) counts the
+    crossings of two other wires that wire lo (hi) has crossed both of
+    before they cross.  Adding wire hi to the stage on wires lo..hi-1 adds
+    to ind_A each crossing of hi with an inner wire i that comes after wire
+    lo has crossed both; adding wire lo to the stage on wires lo+1..hi adds
+    to ind_D each crossing of lo with an inner wire i that comes after wire
+    hi has crossed both.  So each stage costs one test per inner wire,
+    O(n^3) for the table."""
     width = len(rows)
-    table = [0] * (2 * width * width)
-    # _at is linear in lo and hi: a step of hi moves the flat index `step`,
-    # and the stage on wires lo+1..hi sits `below` past the one on lo..hi
-    step, below = _at(width, 0, 1), _at(width, 1, 0)
-    for lo in range(width - 3, 0, -1):
-        low, a = rows[lo], 0
-        at = _at(width, lo, lo + 1)
-        for hi in range(lo + 2, width):
-            at += step
+    table = [0] * _at(1, width)
+    for hi in range(3, width):
+        high, d = rows[hi], 0
+        # the stage on wires lo..hi-1 sits `left` before the one on lo..hi,
+        # and the one on lo+1..hi two after it
+        at, left = _at(hi - 1, hi), 2 * (hi - 2)
+        for lo in range(hi - 2, 0, -1):
+            at -= 2
             # of the crossings of wires lo, hi and i in pairs, at rows x,
             # low[i] and high[i], the last counts for ind_A if it is that of
             # i with hi, for ind_D if it is that of i with lo
-            high, x, d = rows[hi], low[hi], 0
+            low, a = rows[lo], 0
+            x = low[hi]
             for i in range(lo + 1, hi):
                 l, h = low[i], high[i]
                 if l < h:
                     a += x < h
                 else:
                     d += x < l
-            table[at] = a
-            table[at + 1] = table[at + below + 1] + d
+            table[at] = table[at - left] + a
+            table[at + 1] = d
     return table
 
 
-def _extended_stage_table(table: list[int], lower: Sequence[int], n: int) -> list[int]:
+def _extended_stage_table(table: list[int], lower: Iterable[int], n: int) -> list[int]:
     """The stage table of the D-extension of a word of rank n-1 over one of
     its order ideals, from the word's stage table and the ideal's letters
     lower, in word order.  The extension runs lower on wires 1..n, then
     the new wire n+1 across all of them, then the rest of the word, so its
-    stages on wires 1..n are the word's.  Let c(lo) count the wires above
-    lo that lo crosses in lower: wire lo crosses wire n+1 after those and
-    before the rest.  So adding wire n+1 to the stage on wires lo..n adds
-    c(lo) to ind_A, and adding wire lo to the stage on wires lo+1..n+1
-    adds to ind_D the n - lo - c(lo) wires above lo that it crosses after
-    n+1.  O(|lower| + n^2), the copy of the word's rows included."""
+    stages on wires 1..n are the word's, and its table is the word's
+    followed by the new diagonal, the 2n entries of the stages with top
+    wire n+1.  Let c(lo) count the wires above lo that lo crosses in
+    lower: wire lo crosses wire n+1 after those and before the rest.  So
+    adding wire n+1 to the stage on wires lo..n adds c(lo) to ind_A, and
+    adding wire lo to the stage on wires lo+1..n+1 adds to ind_D the
+    n - lo - c(lo) wires above lo that it crosses after n+1.  O(|lower| + n)
+    and one concatenation; the word's table is left as it is, since its
+    other extensions read it too."""
     arrangement = list(range(n + 1))  # arrangement[c]: the wire at column c
     crossed = [0] * (n + 1)
     for c in lower:
@@ -113,23 +118,14 @@ def _extended_stage_table(table: list[int], lower: Sequence[int], n: int) -> lis
         u = arrangement[c]
         crossed[u] += 1
         arrangement[c], arrangement[c + 1] = arrangement[c + 1], u
-    width, old = n + 2, n + 1
-    extended = [0] * _at(width, width, 0)
-    # _at is linear in lo and hi: row lo of a table of width w starts at
-    # _at(w, lo, 0), a step of lo moves `row` (`old_row` in the word's
-    # table), and the stage on wires lo..hi lies _at(0, 0, hi) into its row
-    row, old_row = _at(width, 1, 0), _at(old, 1, 0)
-    top, new = _at(0, 0, n), _at(0, 0, n + 1)
-    at, old_at, d = _at(width, n, 0), _at(old, n, 0), 0
+    # the word's diagonal, the stages on wires lo..n, starts at top
+    top, diagonal, d = _at(1, n), [0] * (2 * n), 0
     for lo in range(n - 1, 0, -1):
-        at -= row
-        old_at -= old_row
-        # the word's stages lo..hi for hi <= n, then the stage lo..n+1
-        extended[at : at + new] = table[old_at : old_at + new]
+        at = 2 * (lo - 1)
         d += n - lo - crossed[lo]
-        extended[at + new] = table[old_at + top] + crossed[lo]
-        extended[at + new + 1] = d
-    return extended
+        diagonal[at] = table[top + at] + crossed[lo]
+        diagonal[at + 1] = d
+    return table + diagonal
 
 
 def chains_from_wires(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:

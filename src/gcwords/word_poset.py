@@ -52,11 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import not_
 from typing import Iterator, Sequence
 
-from .lattice import _extension_count, _ideal_counts, _ideal_levels, _word_needs
-from .wiring import _at, _crossings, _extended_stage_table, _stage_table
-from .words import DomainError, Word, _splice, is_reduced, standard_word
+from .lattice import _extension_count, _ideal_fields, _ideal_levels, _word_needs
+from .wiring import _crossings, _extended_stage_table, _stage_table
+from .words import DomainError, Word, is_reduced, standard_word
 
 
 class _BuiltOnFirstRead:
@@ -329,11 +331,15 @@ def _class_words(n: int, staged: bool) -> Iterator[tuple[tuple[int, ...], list[i
     # is the D-extension of one rank-(n-1) class Q over one ideal of Q, and
     # each such pair gives a different class, so splicing a fresh descending
     # chain into each word of the rank below, over each ideal of its poset,
-    # meets every class once.  The ideal's letters come first: the first
-    # counts[c-1] occurrences of each letter c, in word order.  A child's
-    # stage table extends its parent's by the stages of the new wire
-    # (`wiring._extended_stage_table`), so each table is built once, from
-    # the one above it, and the tree holds one word and table per rank.
+    # meets every class once: the ideal's letters, the first counts[c-1]
+    # occurrences of each letter c in word order, then the chain n..1, then
+    # the other letters raised a column.  Each parent tells, for each of
+    # its positions, the ideal fields that hold it (its column's field in
+    # the walker's key above its height), so an ideal takes one pass to
+    # pick its letters.  Stage tables are laid out by top wire, so a
+    # child's is its parent's followed by the stages of the new wire
+    # (`wiring._extended_stage_table`): each table is built once, from the
+    # one above it, and the tree holds one word and table per rank.
     #
     # Each tree word is its class's lexmin word, the greedy walk that always
     # takes the least free column, by induction from () and this lemma: if v
@@ -348,23 +354,28 @@ def _class_words(n: int, staged: bool) -> Iterator[tuple[tuple[int, ...], list[i
     # chain's c-1, so is free only once the chain is past it; then upper, in
     # F's order.
     if n == 0:
-        # two wires: no stage of three
-        yield (), ([0] * _at(2, 2, 0) if staged else None)
+        # one wire: no stage
+        yield (), ([] if staged else None)
         return
+    chain = tuple(range(n, 0, -1))
     for v, table in _class_words(n - 1, staged):
         needs = _word_needs(v, n - 1)
-        counts_of = _ideal_counts(needs)
+        width, shifts = _ideal_fields(needs)
+        mask = (1 << width) - 1
+        # per position: its column's field in a key, and the height below
+        # which that field's count must reach for the ideal to hold it
+        fields, seen = [], [0] * (n + 1)
+        for c in v:
+            shift = shifts[c - 1]
+            fields.append((mask << shift, seen[c] << shift))
+            seen[c] += 1
+        raised = [c + 1 for c in v]
         for level in _ideal_levels(needs):
             for key in level:
-                counts = counts_of(key)
-                seen = [0] * (n + 1)
-                lower, upper = [], []
-                for c in v:
-                    (lower if seen[c] < counts[c - 1] else upper).append(c)
-                    seen[c] += 1
+                inside = [key & field > height for field, height in fields]
                 yield (
-                    _splice(tuple(lower), tuple(upper), n - 1, "D"),
-                    _extended_stage_table(table, lower, n) if staged else None,
+                    (*compress(v, inside), *chain, *compress(raised, map(not_, inside))),
+                    _extended_stage_table(table, compress(v, inside), n) if staged else None,
                 )
 
 
@@ -384,7 +395,8 @@ def enumerate_commutation_classes(n: int) -> Iterator[WordPoset]:
     if n < 1:
         raise DomainError(f"rank must be positive, got {n}")
     for letters, table in _class_words(n, staged=True):
-        P = _canonical_poset_of_word(letters)
+        # canonical_form of the class, recorded at its known rank
+        P = _recorded_poset(Word._unchecked(n, letters, None))
         # the cached_property's value: the table of the word P records
         P.__dict__["_stage_table"] = table
         yield P

@@ -168,6 +168,14 @@ def test_classes_rejects_a_rank_below_one(capsys, n):
     assert run(capsys, "classes", n) == (1, "", f"error: rank must be positive, got {n}\n")
 
 
+@pytest.mark.parametrize("n", ["256", "1200"])
+def test_classes_refuses_a_rank_above_255_before_walking(capsys, n):
+    # one letter a byte in the sort keys; rank 1200 used to overflow the
+    # recursion of the class tree with a traceback
+    assert run(capsys, "classes", n, "--force") == (
+        1, "", f"error: classes needs a rank of at most 255, got {n}\n")
+
+
 def test_poset_formats(capsys):
     code, out, _ = run(capsys, "poset", "1,3,2,1,3,2")
     assert code == 0
@@ -527,6 +535,7 @@ _argv = st.tuples(_commands, st.lists(_junk, max_size=2)).map(
 @given(_argv)
 @example(["verify", "injectivity_theorem", "--scale", "0"])
 @example(["gc-table", "-1"])
+@example(["classes", "1200", "--force"])
 def test_fuzz_main_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

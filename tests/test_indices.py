@@ -306,10 +306,10 @@ def assert_stage_table_matches_single_stages(rows):
     # the running sums against the pair test of each stage on its own
     width = len(rows)
     table = wiring._stage_table(rows)
-    assert len(table) == 2 * width * width
+    assert len(table) == (width - 1) * (width - 2)
     for lo in range(1, width):
         for hi in range(lo + 1, width):
-            at = wiring._at(width, lo, hi)
+            at = wiring._at(lo, hi)
             assert tuple(table[at : at + 2]) == _indices(rows, lo, hi), (lo, hi)
 
 
@@ -345,8 +345,20 @@ def test_extended_stage_table_is_the_table_of_the_splice(n, seed, cut):
     v = random_w0_word(n - 1, random.Random(seed)).letters
     k = round(cut * len(v))
     table = wiring._stage_table(wiring._crossings(Word(n - 1, v)))
+    parent = list(table)
     spliced = Word(n, _splice(v[:k], v[k:], n - 1, "D"))
     assert wiring._extended_stage_table(table, v[:k], n) == wiring._stage_table(wiring._crossings(spliced))
+    # siblings in the class tree share the parent's table
+    assert table == parent
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=2**32))
+def test_stage_table_on_fewer_wires_is_a_prefix(n, seed):
+    # laid out by top wire, the stages on wires 1..n lead the table, and
+    # they are the stages of the word with wire n+1 deleted
+    P = poset_of_word(random_w0_word(n, random.Random(seed)))
+    assert P._stage_table[: wiring._at(1, n + 1)] == contract_D(P)._stage_table
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -357,7 +369,7 @@ def test_delta_positions_are_the_stages_of_three_or_more_wires(n):
     # class tree relies on
     positions = {p for letters in product("AD", repeat=n - 1)
                  for p in indices._delta_positions(n, "".join(letters))}
-    assert positions == {wiring._at(n + 2, lo, hi) + entry
+    assert positions == {wiring._at(lo, hi) + entry
                          for lo in range(1, n) for hi in range(lo + 2, n + 2) for entry in (0, 1)}
 
 

@@ -66,7 +66,7 @@ def test_class_poset_equivalence_names_the_stage_a_tree_table_gets_wrong(monkeyp
         # ind_A of the stage on wires 1..4, on the classes of rank 3
         extended = real(table, lower, n)
         if n == 3:
-            extended[wiring._at(n + 2, 1, n + 1)] += 1
+            extended[wiring._at(1, n + 1)] += 1
         return extended
 
     monkeypatch.setattr(word_poset, "_extended_stage_table", off_by_one)

@@ -15,7 +15,7 @@ from gcwords.gc import classify_gc, gc_direct, gc_poset_of_delta
 from gcwords.indices import full_profile
 from gcwords.lattice import (
     _SUMMANDS,
-    _ideal_counts,
+    _ideal_fields,
     _ideal_levels,
     _ordinal_cuts,
     _summand_count,
@@ -341,8 +341,10 @@ def walker_levels_are_the_oracle_ideals(P, needs):
     # the walker's levels on the table needs of P, decoded to per-column
     # counts, against the breadth-first search over bitmask ideals of the
     # ideal oracle, as sets per size
-    counts_of = _ideal_counts(needs)
-    walked = [{counts_of(key) for key in level} for level in _ideal_levels(needs)]
+    width, shifts = _ideal_fields(needs)
+    mask = (1 << width) - 1
+    walked = [{tuple(key >> shift & mask for shift in shifts) for key in level}
+              for level in _ideal_levels(needs)]
     columns = sorted(set(P.columns))
     found = [set() for _ in range(P.size + 1)]
     for I in ideals(P):
