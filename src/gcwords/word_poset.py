@@ -119,7 +119,10 @@ class WordPoset:
 
     @property
     def rank(self) -> int:
-        return max(self.columns, default=0)
+        # A recorded word is at the poset's rank.  The walk for _word of a
+        # poset that records none reads the rank, so that one scans columns.
+        w = self.__dict__.get("_word")
+        return max(self.columns, default=0) if w is None else w.rank
 
     @cached_property
     def _word(self) -> Word:

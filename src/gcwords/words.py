@@ -238,18 +238,19 @@ def legal_3moves(w: Word) -> list[int]:
 
 # Tails of at most this many letters come from enumerate_reduced_words'
 # per-call table instead of the depth-first loop.  Measured on the 292,864
-# words of w0 at rank 5 (Python 3.11, 2 vCPUs, median of 5 interleaved
-# runs; table memory as the tracemalloc peak of the whole stream):
-#   no table  1.74 s      4 KiB
-#   4         0.59 s     82 KiB
-#   5         0.46 s    212 KiB
-#   6         0.39 s    422 KiB
-#   7         0.35 s  1,362 KiB
-#   8         0.34 s  3,405 KiB
-# Past 5 each letter saves less time than the one before and costs two to
-# three times the memory; at 8 the peak RSS of the benchmark's words-w0
-# rose by about a fifth.
-_TAIL = 5
+# words of w0 at rank 5 (Python 3.11, 2 vCPUs; the median over 5 processes
+# of the best of 5 runs each; table memory as the tracemalloc peak of the
+# whole stream, in a fresh process):
+#   0 (no table)  0.70 s      5 KiB
+#   4             0.22 s     67 KiB
+#   5             0.19 s    196 KiB
+#   6             0.17 s    535 KiB
+#   7             0.15 s  1,383 KiB
+#   8             0.14 s  3,390 KiB
+# Past 6 each letter saves under a tenth of the time and costs two to three
+# times the memory; at 8 the peak RSS of the benchmark's words-w0 rose by
+# about a fifth.
+_TAIL = 6
 
 
 def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
@@ -259,10 +260,14 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
     shorter, and the tail is any reduced word of s_i * p.  One depth-first
     loop does the peeling in place: pos[v] is the place of value v, so i is
     a left descent when pos[i] > pos[i + 1], and peeling s_i swaps the two
-    entries (swapped back on backtracking).  pending[d] holds the descents
-    not yet tried at depth d, largest first, so pop() takes them in order.
-    Next to the letter buffer, prefix[d] is the text of the first d letters,
-    each followed by a comma.
+    entries (swapped back on backtracking).  Each depth d keeps two ints
+    with bit i for letter i: descents[d], its left descents, and todo[d],
+    the ones not yet tried.  The lowest bit of todo[d] goes next, so the
+    words come in order.  Peeling s_i makes i an ascent and changes no
+    descent but i-1 and i+1, so the next depth's set is this one with bits
+    i-1..i+1 cleared and only i-1 and i+1 tested again.  Next to the letter
+    buffer, prefix[d] is the text of the first d letters, each followed by a
+    comma.
 
     The loop stops _TAIL letters short of a word.  The tails after a prefix
     depend only on the permutation that remains, which is the position
@@ -282,11 +287,14 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
         raise DomainError(f"{p} is not a permutation")
     rank = max(len(p) - 1, 0)
     length = inversion_count(p)
-    pos = [0] * (len(p) + 1)
+    # pos[0] = 0 and the sentinel pos[m + 1] = m make 0 and m no descents,
+    # so the retests after a peel need no bounds check
+    pos = [0] * (len(p) + 2)
     for place, value in enumerate(p):
         pos[value] = place
+    pos[-1] = len(p)
     letters_up = range(1, len(p))
-    letters_down = range(len(p) - 1, 0, -1)
+    keep = [0] + [~(7 << (i - 1)) for i in letters_up]  # clears bits i-1..i+1
     names = [str(i) for i in range(len(p))]
     with_comma = [name + "," for name in names]
     unchecked = Word._unchecked
@@ -294,7 +302,8 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
 
     def tails(key: tuple[int, ...]) -> list[tuple[tuple[int, ...], str]]:
         # A tail's text has no leading comma: it goes after a prefix that
-        # ends in one.  The identity's one empty tail ends the recursion.
+        # ends in one, or in none when the tail is empty.  The identity's
+        # one empty tail ends the recursion.
         found = table.get(key)
         if found is None:
             found = []
@@ -318,29 +327,42 @@ def enumerate_reduced_words(p: Perm) -> Iterator[Word]:
         for rest, text in tails(tuple(pos)):
             yield unchecked(rank, rest, text)
         return
+    # the letter just before a table tail: an empty tail takes no comma
+    cut = with_comma if _TAIL else names
     letters = [0] * stop
     prefix = [""] * stop
     last = stop - 1
-    pending = [[i for i in letters_down if pos[i] > pos[i + 1]]]
+    descents = [0] * stop  # every left descent at each depth
+    todo = [0] * stop  # the ones not yet tried there
+    for i in letters_up:
+        if pos[i] > pos[i + 1]:
+            descents[0] |= 1 << i
+    todo[0] = descents[0]
     depth = 0
     while True:
-        todo = pending[depth]
-        if todo:
-            i = todo.pop()
+        bits = todo[depth]
+        if bits:
+            low = bits & -bits
+            todo[depth] = bits ^ low
+            i = low.bit_length() - 1
             letters[depth] = i
             pos[i], pos[i + 1] = pos[i + 1], pos[i]
             if depth == last:
                 head = tuple(letters)
-                text = prefix[depth] + with_comma[i]
+                text = prefix[depth] + cut[i]
                 for rest, tail in tails(tuple(pos)):
                     yield unchecked(rank, head + rest, text + tail)
                 pos[i], pos[i + 1] = pos[i + 1], pos[i]
             else:
                 prefix[depth + 1] = prefix[depth] + with_comma[i]
+                bits = descents[depth] & keep[i]
+                if pos[i - 1] > pos[i]:
+                    bits |= low >> 1
+                if pos[i + 1] > pos[i + 2]:
+                    bits |= low << 1
                 depth += 1
-                pending.append([j for j in letters_down if pos[j] > pos[j + 1]])
+                descents[depth] = todo[depth] = bits
         elif depth:
-            pending.pop()
             depth -= 1
             i = letters[depth]
             pos[i], pos[i + 1] = pos[i + 1], pos[i]

@@ -207,6 +207,21 @@ def test_recorded_posets_pass_the_public_checks(classes_of_rank, words_of_rank):
         assert Q.column_chains == P.column_chains
 
 
+def test_rank_reads_the_recorded_word():
+    # a class poset answers its rank off its word, building no columns; a
+    # copy through the public constructor records no word and scans its
+    # columns, also while its first read of _word walks its covers
+    for n in range(1, 5):
+        for P in enumerate_commutation_classes(n):
+            assert P.rank == n
+            assert "columns" not in vars(P)
+            Q = WordPoset(P.columns, P.covers)
+            assert "_word" not in vars(Q)
+            assert Q.rank == n
+            assert Q._word.rank == n
+    assert WordPoset((), ()).rank == 0
+
+
 def test_cycle_rejected():
     P = WordPoset((1, 2, 1), ((1, 2), (2, 3), (3, 2)))
     with pytest.raises(DomainError, match="cycle"):

@@ -154,6 +154,20 @@ def test_enumeration_is_every_reduced_word_in_order(m):
         assert check_word_stream(p, enumerate_reduced_words(p)) == count_reduced_words(p)
 
 
+@pytest.mark.parametrize("tail", [0, 1, 2, 3])
+def test_enumeration_at_every_cut_over_depth(tail, monkeypatch):
+    # The default tails are as long as every word of S_4, so the depth-first
+    # loop runs on none of them; shorter tails make it run on every
+    # permutation of S_1..S_5 with longer words, descents at the edge
+    # letters 1 and m-1 included, to the end of the word when tail is 0.
+    # The stream must not change.
+    perms = [p for m in range(1, 6) for p in permutations(range(1, m + 1))]
+    default = {p: _stream(p) for p in perms}
+    monkeypatch.setattr(gcwords.words, "_TAIL", tail)
+    for p in perms:
+        assert check_word_stream(p, enumerate_reduced_words(p)) == count_reduced_words(p)
+        assert _stream(p) == default[p]
+
 
 def test_enumerated_words_equal_checked_words():
     # The loop builds its words unchecked, each with its text already made;
@@ -209,7 +223,7 @@ def _traced_peak(ws):
 
 @pytest.mark.parametrize(
     "n, take, bound",
-    # measured peaks: 27-59 KiB for the whole rank-4 stream, 17-20 KiB for
+    # measured peaks: 47-122 KiB for the whole rank-4 stream, 22-32 KiB for
     # the first 2,000 words at rank 9, depending on what ran before.  A table
     # of whole words holds 680 KiB at rank 4 and cannot start at rank 9.
     [(4, None, 192 * 1024), (9, 2000, 80 * 1024)],
